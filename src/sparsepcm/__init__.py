@@ -1,85 +1,28 @@
 """Possibilistic clustering with sparse and adaptive variants."""
 
-from .algorithms import (
-    AlgoConfig,
-    adapt_eta,
-    assign_labels,
-    eliminate_clusters,
-    remove_duplicates,
-    run,
-    run_pcm,
-    run_sapcm,
-    run_spcm,
-    update_theta,
-)
+from .algorithms import AlgoConfig, run
 from .core import (
     ClusteringError,
-    ClusterModel,
     ConfigurationError,
     DataSet,
     DegenerateClusterError,
     DegenerateRunError,
-    IterationRecord,
-    IterationState,
-    MembershipMatrix,
-    MembershipSolution,
     NumericalError,
     RunReport,
-    squared_distances,
 )
-from .datagen import MixtureSpec, experiment1_fixture, generate, make_fixture
-from .fcm import FcmResult, eta_init_sapcm, gamma_init_pcm, run_fcm, run_kmeans
-from .metrics import MetricReport, mean_distance, rand_measure, success_rate
-from .solver import (
-    compute_lambda,
-    f_value,
-    solve_membership,
-    u_hat,
-    update_memberships,
-)
+from .datagen import make_fixture
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlgoConfig",
-    "ClusterModel",
     "ClusteringError",
     "ConfigurationError",
     "DataSet",
     "DegenerateClusterError",
     "DegenerateRunError",
-    "FcmResult",
-    "IterationRecord",
-    "IterationState",
-    "MembershipMatrix",
-    "MembershipSolution",
-    "MetricReport",
-    "MixtureSpec",
     "NumericalError",
     "RunReport",
-    "adapt_eta",
-    "assign_labels",
-    "compute_lambda",
-    "eliminate_clusters",
-    "eta_init_sapcm",
-    "experiment1_fixture",
-    "f_value",
-    "gamma_init_pcm",
-    "generate",
     "make_fixture",
-    "mean_distance",
-    "rand_measure",
-    "remove_duplicates",
     "run",
-    "run_fcm",
-    "run_kmeans",
-    "run_pcm",
-    "run_sapcm",
-    "run_spcm",
-    "solve_membership",
-    "squared_distances",
-    "success_rate",
-    "u_hat",
-    "update_memberships",
-    "update_theta",
 ]

@@ -1,13 +1,15 @@
-"""Outer iterative loops: the classical possibilistic scheme, its
-sparsity-regularized variant, and the sparse adaptive variant (whose
+"""The outer iterative loop shared by the classical possibilistic scheme,
+its sparsity-regularized variant, and the sparse adaptive variant (whose
 lam = 0 configuration is the plain adaptive baseline).
 
-All loops follow the same skeleton: seed representatives with FCM, set
+One loop runs all four algorithms: seed representatives with FCM, set
 the scale parameters from the FCM memberships, then alternate membership
 and representative updates until no representative moves more than
-theta_tol. The adaptive loop additionally relabels points, eliminates
-clusters that are nobody's most-compatible choice, and re-estimates the
-per-cluster scales every iteration.
+theta_tol. pcm is spcm with K = 0. The adaptive algorithms (sapcm, apcm)
+additionally relabel points, eliminate clusters that are nobody's
+most-compatible choice, and re-estimate the per-cluster scales every
+iteration; the fixed-scale ones (pcm, spcm) instead drop emptied
+clusters and merge duplicates once, at the end of the run.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ from .core import (
     DataSet,
     DegenerateRunError,
     IterationRecord,
-    IterationState,
-    MembershipMatrix,
     RunReport,
     squared_distances,
 )
@@ -54,7 +54,6 @@ class AlgoConfig:
     theta_tol: float = 1e-6
     max_iter: int = 500
     seed: int = 0
-    duplicate_tol: Optional[float] = None
 
     def __post_init__(self):
         if self.algorithm not in _ALGORITHMS:
@@ -75,33 +74,18 @@ class AlgoConfig:
         if self.B <= 0 or self.theta_tol <= 0 or self.max_iter < 1:
             raise ConfigurationError("B, theta_tol, max_iter must be positive")
 
-    def to_dict(self):
-        return {
-            "algorithm": self.algorithm,
-            "m_ini": self.m_ini,
-            "alpha": self.alpha,
-            "K": self.K,
-            "p": self.p,
-            "B": self.B,
-            "theta_tol": self.theta_tol,
-            "max_iter": self.max_iter,
-            "seed": self.seed,
-            "duplicate_tol": self.duplicate_tol,
-        }
 
-
-def update_theta(u, data: DataSet, theta_prev: np.ndarray) -> np.ndarray:
+def update_theta(u: np.ndarray, data: DataSet, theta_prev: np.ndarray) -> np.ndarray:
     """Membership-weighted means; all-zero columns keep their old row."""
-    w = u.u if isinstance(u, MembershipMatrix) else np.asarray(u, dtype=float)
-    colsum = w.sum(axis=0)
+    colsum = u.sum(axis=0)
     theta = theta_prev.copy()
     live = colsum > 0.0
     if live.any():
-        theta[live] = (w[:, live].T @ data.points) / colsum[live, None]
+        theta[live] = (u[:, live].T @ data.points) / colsum[live, None]
     return theta
 
 
-def assign_labels(u, points: Optional[np.ndarray] = None):
+def assign_labels(u: np.ndarray, points: Optional[np.ndarray] = None):
     """Hard labels from a membership matrix.
 
     Returns (labels, n, mu): labels[i] is 1 + argmax of row i when the
@@ -110,10 +94,9 @@ def assign_labels(u, points: Optional[np.ndarray] = None):
     the coordinate means of each cluster's points when the coordinates
     are supplied (rows of NaN for empty clusters), else None.
     """
-    w = u.u if isinstance(u, MembershipMatrix) else np.asarray(u, dtype=float)
-    n_pts, m = w.shape
-    best = w.argmax(axis=1)
-    labels = np.where(w[np.arange(n_pts), best] > 0.0, best + 1, 0)
+    n_pts, m = u.shape
+    best = u.argmax(axis=1)
+    labels = np.where(u[np.arange(n_pts), best] > 0.0, best + 1, 0)
     n = np.bincount(labels, minlength=m + 1)[1:]
     mu = None
     if points is not None:
@@ -124,64 +107,51 @@ def assign_labels(u, points: Optional[np.ndarray] = None):
     return labels, n, mu
 
 
-def eliminate_clusters(state: IterationState, model: ClusterModel, u):
+def eliminate_clusters(model: ClusterModel, labels, n, mu):
     """Drop clusters that appear in no label; renumber everything else.
 
-    Mutates the state's labels/n/mu to the renumbered survivors and
-    returns (model', u', removed_indices).
+    Takes the (labels, n, mu) of assign_labels and returns
+    (model', labels', n', mu', removed_indices) restricted to the
+    renumbered survivors.
     """
-    if state.labels is None or state.n is None:
-        raise ConfigurationError("labels must be assigned before elimination")
-    keep = state.n > 0
+    keep = n > 0
     if not keep.any():
         raise DegenerateRunError(
             "every cluster was eliminated; no point has a compatible cluster"
         )
     removed = [int(j) for j in np.flatnonzero(~keep)]
-    w = u.u if isinstance(u, MembershipMatrix) else np.asarray(u, dtype=float)
-    new_model = model.select(keep)
-    new_u = MembershipMatrix(u=w[:, keep].copy())
     # old cluster id -> new contiguous id (0 stays 0)
     remap = np.zeros(model.m + 1, dtype=int)
     remap[1:][keep] = np.arange(1, int(keep.sum()) + 1)
-    state.labels = remap[state.labels]
-    state.n = state.n[keep]
-    if state.mu is not None:
-        state.mu = state.mu[keep]
-    state.m_current = new_model.m
-    return new_model, new_u, removed
+    return model.select(keep), remap[labels], n[keep], mu[keep], removed
 
 
-def adapt_eta(state: IterationState, data: DataSet) -> np.ndarray:
+def adapt_eta(data: DataSet, labels, n, mu) -> np.ndarray:
     """Mean distance of each cluster's most-compatible points to their mean.
 
     Deviations are measured from the label-group mean mu_j, not from the
     representative. Values below the positivity floor are clamped so the
     downstream scale parameters stay positive.
     """
-    m = state.m_current
-    assert state.n is not None and np.all(state.n > 0), \
+    assert np.all(n > 0), \
         "adapt_eta requires every surviving cluster to own at least one point"
-    eta = np.empty(m)
-    for j in range(m):
-        pts = data.points[state.labels == j + 1]
-        eta[j] = np.linalg.norm(pts - state.mu[j], axis=1).mean()
+    eta = np.empty(len(n))
+    for j in range(len(n)):
+        pts = data.points[labels == j + 1]
+        eta[j] = np.linalg.norm(pts - mu[j], axis=1).mean()
     return np.maximum(eta, _ETA_FLOOR)
 
 
-def remove_duplicates(
-    model: ClusterModel, duplicate_tol: Optional[float] = None
-) -> ClusterModel:
+def remove_duplicates(model: ClusterModel) -> ClusterModel:
     """Greedy merge of representatives that converged onto one cluster.
 
     Scans in index order and keeps a representative only if it stands
-    apart from every representative kept so far. With an explicit
-    duplicate_tol, "apart" is that absolute distance. By default two
-    representatives count as the same cluster when their gap is within
-    1.5x the smaller of their influence radii sqrt(gamma): possibilistic
-    runs routinely park several representatives inside one physical
-    cluster without making them bit-identical, and a rep sitting well
-    inside another's zone of influence is not a separate cluster.
+    apart from every representative kept so far. Two representatives
+    count as the same cluster when their gap is within 1.5x the smaller
+    of their influence radii sqrt(gamma): possibilistic runs routinely
+    park several representatives inside one physical cluster without
+    making them bit-identical, and a rep sitting well inside another's
+    zone of influence is not a separate cluster.
     """
     kept: list[int] = []
     radius = np.sqrt(np.maximum(model.gamma, 0.0))
@@ -189,12 +159,7 @@ def remove_duplicates(
         duplicate = False
         for i in kept:
             gap = float(np.linalg.norm(model.theta[j] - model.theta[i]))
-            cut = (
-                duplicate_tol
-                if duplicate_tol is not None
-                else _DUPLICATE_RADIUS_FACTOR * min(radius[i], radius[j])
-            )
-            if gap < cut:
+            if gap < _DUPLICATE_RADIUS_FACTOR * min(radius[i], radius[j]):
                 duplicate = True
                 break
         if not duplicate:
@@ -204,26 +169,14 @@ def remove_duplicates(
     return model.select(mask)
 
 
-def _final_labels(data: DataSet, model: ClusterModel) -> np.ndarray:
-    """Hard labels from the returned model's own memberships.
-
-    Recomputes one membership pass at the final representatives (the
-    matrix the model would produce) and assigns by assign_labels, so
-    points outside every sparsity radius come back as 0.
-    """
-    state = IterationState(
-        d=squared_distances(data, model.theta), iteration=0,
-        m_current=model.m,
-    )
-    u = update_memberships(state, model, data)
-    labels, _, _ = assign_labels(u)
-    return labels
-
-
 def _metrics_for(data: DataSet, labels: np.ndarray, theta: np.ndarray):
+    """RM/SR/MD over the points with a positive true label; None when
+    the data has no such point."""
     if data.truth_labels is None:
         return None
     mask = data.truth_labels > 0
+    if not mask.any():
+        return None
     truth = data.truth_labels[mask]
     pred = labels[mask]
     if data.truth_centers is not None:
@@ -240,172 +193,77 @@ def _metrics_for(data: DataSet, labels: np.ndarray, theta: np.ndarray):
     return MetricReport(rm=rm, sr=sr, sr_per_cluster=sr_pc, md=md).to_dict()
 
 
-def _report(algorithm, config, model, labels, iterations, wall, history, data):
-    return RunReport(
-        algorithm=algorithm,
-        m_ini=config.m_ini,
-        m_final=model.m,
-        iterations=iterations,
-        wall_time=wall,
-        theta_final=model.theta.copy(),
-        gamma_final=model.gamma.copy(),
-        labels_final=np.asarray(labels, dtype=int),
-        seed=config.seed,
-        metrics=_metrics_for(data, labels, model.theta),
-        history=history,
-    )
+def run(data: DataSet, config: AlgoConfig) -> RunReport:
+    """Run the configured algorithm.
 
+    pcm and spcm keep the scales FCM gives them, with lam fixed from the
+    smallest one (zero for pcm). Representatives whose membership column
+    empties are frozen in place; if still frozen at convergence they are
+    dropped before duplicate merging, and the final labels come from one
+    membership pass at the returned model.
 
-def run_pcm(data: DataSet, config: AlgoConfig) -> RunReport:
-    """Classical possibilistic loop with fixed scales.
+    sapcm and apcm re-estimate the scales every iteration from each
+    cluster's most-compatible points, lam follows the smallest current
+    scale, and clusters that are no point's best match are removed on
+    the spot. Their final labels are the last iteration's.
 
-    Memberships are the exponential of the negative scaled squared
-    distance, so every entry stays positive and representatives are
-    never starved. Coincident representatives are merged afterwards.
+    Either way, points with an all-zero membership row get label 0.
     """
-    if config.algorithm != "pcm":
-        raise ConfigurationError("config.algorithm must be 'pcm'")
     t0 = time.perf_counter()
+    adaptive = config.algorithm in ("sapcm", "apcm")
     fcm = run_fcm(data, config.m_ini, seed=config.seed)
-    gamma = gamma_init_pcm(data, fcm, config.B)
+    if adaptive:
+        eta = eta_init_sapcm(data, fcm)
+        eta_hat = float(eta.min())
+        gamma = eta_hat * eta / config.alpha
+    else:
+        gamma = gamma_init_pcm(data, fcm, config.B)
     model = ClusterModel(
-        theta=fcm.theta.copy(), gamma=gamma, lam=0.0, p=config.p, K=0.0,
-        B=config.B,
+        theta=fcm.theta.copy(), gamma=gamma, p=config.p,
+        lam=compute_lambda(float(gamma.min()), config.p, config.K),
     )
     history = []
-    iterations = 0
     for t in range(config.max_iter):
-        state = IterationState(
-            d=squared_distances(data, model.theta), iteration=t,
-            m_current=model.m,
-        )
-        u = update_memberships(state, model, data)
-        assert np.all(u.u.sum(axis=0) > 0.0), "positive memberships cannot starve a cluster"
+        u = update_memberships(squared_distances(data, model.theta), model)
         new_theta = update_theta(u, data, model.theta)
-        move = float(np.linalg.norm(new_theta - model.theta, axis=1).max())
-        history.append(IterationRecord(
-            iteration=t, theta=model.theta.copy(), gamma=model.gamma.copy(),
-            lam=0.0, m=model.m, max_move=move,
-        ))
-        model.theta = new_theta
-        iterations = t + 1
-        if move < config.theta_tol:
-            break
-    final = remove_duplicates(model, config.duplicate_tol)
-    labels = _final_labels(data, final)
-    return _report("pcm", config, final, labels, iterations,
-                   time.perf_counter() - t0, history, data)
-
-
-def run_spcm(data: DataSet, config: AlgoConfig) -> RunReport:
-    """Sparsity-regularized loop: same skeleton, zero-capable memberships.
-
-    lam is fixed once from the smallest initial scale. Representatives
-    whose membership column empties are frozen in place; if still frozen
-    at convergence they are dropped before duplicate merging. Points
-    outside every cluster's sparsity radius get final label 0.
-    """
-    if config.algorithm != "spcm":
-        raise ConfigurationError("config.algorithm must be 'spcm'")
-    t0 = time.perf_counter()
-    fcm = run_fcm(data, config.m_ini, seed=config.seed)
-    gamma = gamma_init_pcm(data, fcm, config.B)
-    lam = compute_lambda(float(gamma.min()), config.p, config.K)
-    model = ClusterModel(
-        theta=fcm.theta.copy(), gamma=gamma, lam=lam, p=config.p,
-        K=config.K, B=config.B,
-    )
-    history = []
-    iterations = 0
-    stale = np.zeros(model.m, dtype=bool)
-    for t in range(config.max_iter):
-        state = IterationState(
-            d=squared_distances(data, model.theta), iteration=t,
-            m_current=model.m,
-        )
-        u = update_memberships(state, model, data)
-        stale = u.u.sum(axis=0) == 0.0
-        new_theta = update_theta(u, data, model.theta)
-        move = float(np.linalg.norm(new_theta - model.theta, axis=1).max())
-        history.append(IterationRecord(
-            iteration=t, theta=model.theta.copy(), gamma=model.gamma.copy(),
-            lam=lam, m=model.m, max_move=move,
-        ))
-        model.theta = new_theta
-        iterations = t + 1
-        if move < config.theta_tol:
-            break
-    if stale.all():
-        raise DegenerateRunError("all membership columns are zero at convergence")
-    if stale.any():
-        model = model.select(~stale)
-    final = remove_duplicates(model, config.duplicate_tol)
-    labels = _final_labels(data, final)
-    return _report("spcm", config, final, labels, iterations,
-                   time.perf_counter() - t0, history, data)
-
-
-def run_sapcm(data: DataSet, config: AlgoConfig) -> RunReport:
-    """Adaptive loop with online cluster elimination.
-
-    Scales are re-estimated every iteration from each cluster's
-    most-compatible points, lam follows the smallest current scale, and
-    clusters that are no point's best match are removed on the spot.
-    Final hard labels come from the sparse memberships, so points with
-    an all-zero row are reported as noise (label 0).
-    """
-    if config.algorithm not in ("sapcm", "apcm"):
-        raise ConfigurationError("config.algorithm must be 'sapcm' or 'apcm'")
-    t0 = time.perf_counter()
-    fcm = run_fcm(data, config.m_ini, seed=config.seed)
-    eta = eta_init_sapcm(data, fcm)
-    eta_hat = float(eta.min())
-    gamma = eta_hat * eta / config.alpha
-    lam = compute_lambda(float(gamma.min()), config.p, config.K)
-    model = ClusterModel(
-        theta=fcm.theta.copy(), gamma=gamma, lam=lam, p=config.p,
-        K=config.K, B=config.B, alpha=config.alpha, eta=eta, eta_hat=eta_hat,
-    )
-    history = []
-    iterations = 0
-    u = None
-    for t in range(config.max_iter):
-        state = IterationState(
-            d=squared_distances(data, model.theta), iteration=t,
-            m_current=model.m,
-        )
-        u = update_memberships(state, model, data)
-        new_theta = update_theta(u, data, model.theta)
-        labels, n, mu = assign_labels(u, data.points)
-        state.labels, state.n, state.mu = labels, n, mu
-        keep = state.n > 0
-        # movement over clusters surviving this iteration, matched by identity
-        move = (
-            float(np.linalg.norm(new_theta[keep] - model.theta[keep], axis=1).max())
-            if keep.any() else float("inf")
-        )
+        if adaptive:
+            labels, n, mu = assign_labels(u, data.points)
+            live = n > 0
+        else:
+            live = u.sum(axis=0) > 0.0
+        if not live.any():
+            raise DegenerateRunError(
+                "no point has a compatible cluster: every membership is zero"
+            )
+        # movement over the live clusters only, matched by identity
+        move = float(np.linalg.norm(new_theta[live] - model.theta[live], axis=1).max())
         history.append(IterationRecord(
             iteration=t, theta=model.theta.copy(), gamma=model.gamma.copy(),
             lam=model.lam, m=model.m, max_move=move,
         ))
         model.theta = new_theta
-        model, u, _removed = eliminate_clusters(state, model, u)
-        new_eta = adapt_eta(state, data)
-        model.eta = new_eta
-        model.gamma = eta_hat * new_eta / config.alpha
-        model.lam = compute_lambda(float(model.gamma.min()), config.p, config.K)
-        iterations = t + 1
+        if adaptive:
+            model, labels, n, mu, _ = eliminate_clusters(model, labels, n, mu)
+            model.gamma = eta_hat * adapt_eta(data, labels, n, mu) / config.alpha
+            model.lam = compute_lambda(float(model.gamma.min()), config.p, config.K)
         if move < config.theta_tol:
             break
-    labels, _, _ = assign_labels(u)
-    return _report(config.algorithm, config, model, labels, iterations,
-                   time.perf_counter() - t0, history, data)
-
-
-def run(data: DataSet, config: AlgoConfig) -> RunReport:
-    """Dispatch a run by configured algorithm."""
-    if config.algorithm == "pcm":
-        return run_pcm(data, config)
-    if config.algorithm == "spcm":
-        return run_spcm(data, config)
-    return run_sapcm(data, config)
+    if not adaptive:
+        model = remove_duplicates(model.select(live))
+        u = update_memberships(squared_distances(data, model.theta), model)
+        labels, _, _ = assign_labels(u)
+    wall = time.perf_counter() - t0
+    return RunReport(
+        algorithm=config.algorithm,
+        m_ini=config.m_ini,
+        m_final=model.m,
+        iterations=len(history),
+        wall_time=wall,
+        theta_final=model.theta,
+        gamma_final=model.gamma,
+        lam_final=model.lam,
+        labels_final=labels,
+        seed=config.seed,
+        metrics=_metrics_for(data, labels, model.theta),
+        history=history,
+    )

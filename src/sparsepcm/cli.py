@@ -23,8 +23,16 @@ from typing import Optional
 import numpy as np
 
 from .algorithms import AlgoConfig, run
-from .core import ClusteringError, ConfigurationError, DataSet, RunReport
+from .core import (
+    ClusteringError,
+    ClusterModel,
+    ConfigurationError,
+    DataSet,
+    RunReport,
+    squared_distances,
+)
 from .datagen import FIXTURE_NAMES, MixtureSpec, generate, make_fixture
+from .solver import update_memberships
 
 SCHEMA_VERSION = 1
 _EMIT_CHOICES = ("report", "memberships", "plot")
@@ -210,12 +218,13 @@ def run_experiment(config: ExperimentConfig):
     """
     data = _resolve_input(config)
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    reports, failures = [], []
+    done, failures = [], []
     for i, algo_config in enumerate(config.runs):
         try:
-            reports.append(run(data, algo_config))
+            done.append((i, algo_config, run(data, algo_config)))
         except ClusteringError as exc:
             failures.append((i, algo_config.algorithm, exc))
+    reports = [report for _, _, report in done]
     if "report" in config.emit:
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -227,28 +236,18 @@ def run_experiment(config: ExperimentConfig):
         (config.output_dir / "report.json").write_text(
             json.dumps(doc, indent=2), encoding="utf-8"
         )
-    for i, report in enumerate(reports):
+    for i, algo_config, report in done:
         run_dir = config.output_dir / f"run_{i:02d}_{report.algorithm}"
         run_dir.mkdir(exist_ok=True)
         if "memberships" in config.emit:
-            from .core import IterationState
-            from .solver import update_memberships as _um
-            from .core import ClusterModel, squared_distances
-
-            cfg = config.runs[i]
-            # same memberships the run used for its final labels: the
-            # run's own lam (taken from the last recorded iteration)
+            # the memberships of the model the run returned
             model = ClusterModel(
                 theta=report.theta_final, gamma=report.gamma_final,
-                lam=_final_lambda(report), p=cfg.p, K=cfg.K,
+                lam=report.lam_final, p=algo_config.p,
             )
-            state = IterationState(
-                d=squared_distances(data, report.theta_final),
-                m_current=report.m_final,
-            )
-            u = _um(state, model, data)
+            u = update_memberships(squared_distances(data, report.theta_final), model)
             _write_matrix_csv(
-                run_dir / "memberships.csv", u.u,
+                run_dir / "memberships.csv", u,
                 [f"u_{j + 1}" for j in range(report.m_final)],
             )
             _write_matrix_csv(
@@ -261,10 +260,6 @@ def run_experiment(config: ExperimentConfig):
         i, a, exc = failures[0]
         raise ClusteringError(f"run {i} ({a}) failed: {exc}") from exc
     return reports
-
-
-def _final_lambda(report: RunReport) -> float:
-    return report.history[-1].lam if report.history else 0.0
 
 
 def _build_parser():
@@ -322,7 +317,7 @@ def _config_from_args(args) -> ExperimentConfig:
             raise ConfigurationError("--m-ini (or runs[].m_ini) is required")
         known = {
             "algorithm", "m_ini", "alpha", "K", "p", "B", "theta_tol",
-            "max_iter", "seed", "duplicate_tol",
+            "max_iter", "seed",
         }
         unknown = set(merged) - known
         if unknown:

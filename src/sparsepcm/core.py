@@ -1,7 +1,7 @@
 """Shared domain types and distance computation.
 
 Everything downstream (initializers, the membership solver, the outer
-loops) works on the small set of containers defined here. All arrays are
+loop) works on the small set of containers defined here. All arrays are
 float64; label vectors are int arrays where cluster ids run 1..m and 0
 means "no compatible cluster" (noise).
 """
@@ -86,21 +86,12 @@ class DataSet:
     def n_features(self) -> int:
         return self.points.shape[1]
 
-    def bounding_box(self):
-        """(low, high) corners of the axis-aligned bounding box."""
-        return self.points.min(axis=0), self.points.max(axis=0)
-
-    def bbox_diagonal(self) -> float:
-        lo, hi = self.bounding_box()
-        return float(np.linalg.norm(hi - lo))
-
 
 @dataclass
 class ClusterModel:
     """Representatives plus the scale and sparsity parameters of a run.
 
-    gamma is the per-cluster influence scale. eta / eta_hat are only
-    populated by the adaptive algorithm. lam is the sparsity weight
+    gamma is the per-cluster influence scale, lam the sparsity weight
     (lambda is reserved in Python), p the subunity norm exponent.
     """
 
@@ -108,11 +99,6 @@ class ClusterModel:
     gamma: np.ndarray
     lam: float = 0.0
     p: float = 0.5
-    K: float = 0.0
-    B: float = 1.0
-    alpha: Optional[float] = None
-    eta: Optional[np.ndarray] = None
-    eta_hat: Optional[float] = None
 
     def __post_init__(self):
         self.theta = _as_float_matrix(self.theta, "theta")
@@ -125,8 +111,6 @@ class ClusterModel:
             raise ConfigurationError("lam must be nonnegative")
         if not (0.0 < self.p < 1.0):
             raise ConfigurationError("p must lie in (0,1)")
-        if self.eta is not None:
-            self.eta = np.asarray(self.eta, dtype=float)
 
     @property
     def m(self) -> int:
@@ -139,44 +123,7 @@ class ClusterModel:
             gamma=self.gamma[keep].copy(),
             lam=self.lam,
             p=self.p,
-            K=self.K,
-            B=self.B,
-            alpha=self.alpha,
-            eta=None if self.eta is None else self.eta[keep].copy(),
-            eta_hat=self.eta_hat,
         )
-
-
-@dataclass(frozen=True)
-class MembershipMatrix:
-    """N x m degrees of compatibility, entries in [0,1], zeros allowed."""
-
-    u: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_float_matrix(self.u, "u")
-        if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-            raise ConfigurationError("membership entries must lie in [0,1]")
-        object.__setattr__(self, "u", arr)
-
-    @property
-    def shape(self):
-        return self.u.shape
-
-    def zero_fraction(self) -> float:
-        return float(np.mean(self.u == 0.0)) if self.u.size else 0.0
-
-
-@dataclass
-class IterationState:
-    """Mutable per-iteration scratch owned by a single outer-loop step."""
-
-    d: np.ndarray                      # N x m squared distances
-    labels: Optional[np.ndarray] = None  # N ints in {0..m}
-    n: Optional[np.ndarray] = None       # per-cluster most-compatible counts
-    mu: Optional[np.ndarray] = None      # m x l means of most-compatible points
-    iteration: int = 0
-    m_current: int = 0
 
 
 @dataclass(frozen=True)
@@ -234,7 +181,11 @@ class IterationRecord:
 
 @dataclass
 class RunReport:
-    """Everything a finished run reports back."""
+    """Everything a finished run reports back.
+
+    theta_final, gamma_final and lam_final are the returned model; the
+    memberships export recomputes its memberships from them.
+    """
 
     algorithm: str
     m_ini: int
@@ -243,6 +194,7 @@ class RunReport:
     wall_time: float
     theta_final: np.ndarray
     gamma_final: np.ndarray
+    lam_final: float
     labels_final: np.ndarray
     seed: int
     metrics: Optional[dict] = None
@@ -257,6 +209,7 @@ class RunReport:
             "wall_time": self.wall_time,
             "theta_final": self.theta_final.tolist(),
             "gamma_final": self.gamma_final.tolist(),
+            "lam_final": self.lam_final,
             "labels_final": self.labels_final.tolist(),
             "seed": self.seed,
             "metrics": self.metrics,
@@ -273,6 +226,7 @@ class RunReport:
             wall_time=d["wall_time"],
             theta_final=np.asarray(d["theta_final"], dtype=float),
             gamma_final=np.asarray(d["gamma_final"], dtype=float),
+            lam_final=d["lam_final"],
             labels_final=np.asarray(d["labels_final"], dtype=int),
             seed=d["seed"],
             metrics=d["metrics"],

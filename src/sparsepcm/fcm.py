@@ -1,7 +1,7 @@
-"""Fuzzy c-means and k-means.
+"""Fuzzy c-means, the initializer of the possibilistic algorithms.
 
-Both serve as initializers for the possibilistic algorithms (FCM seeds
-the representatives and the scale parameters) and double as baselines.
+FCM seeds the representatives, and its memberships weight the initial
+scale parameters.
 """
 
 from __future__ import annotations
@@ -107,36 +107,3 @@ def eta_init_sapcm(data: DataSet, fcm: FcmResult) -> np.ndarray:
         raise DegenerateClusterError("zero mean deviation; cluster has no spread")
     return eta
 
-
-def run_kmeans(data: DataSet, m: int, seed: int = 0, max_iter: int = 300):
-    """Lloyd k-means. Returns (theta, labels) with labels in 1..m.
-
-    Empty clusters are reseeded from the point farthest from its current
-    center, so every cluster ends nonempty.
-    """
-    if not 1 <= m <= data.n_points:
-        raise ConfigurationError(f"m={m} must satisfy 1 <= m <= N={data.n_points}")
-    x = data.points
-    theta = _seed_representatives(data, m, seed)
-    assign = None
-    for _ in range(max_iter):
-        d = squared_distances(data, theta)
-        new_assign = d.argmin(axis=1)
-        # refill empties from the worst-fit points
-        taken = set()
-        for j in range(m):
-            if np.any(new_assign == j):
-                continue
-            dist_to_own = d[np.arange(len(x)), new_assign]
-            order = np.argsort(dist_to_own)[::-1]
-            pick = next(int(i) for i in order if int(i) not in taken)
-            taken.add(pick)
-            new_assign[pick] = j
-            theta[j] = x[pick]
-        if assign is not None and np.array_equal(assign, new_assign):
-            break
-        assign = new_assign
-        for j in range(m):
-            mask = assign == j
-            theta[j] = x[mask].mean(axis=0)
-    return theta, assign + 1

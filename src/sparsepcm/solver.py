@@ -22,14 +22,7 @@ import math
 
 import numpy as np
 
-from .core import (
-    ClusterModel,
-    DataSet,
-    IterationState,
-    MembershipMatrix,
-    MembershipSolution,
-    NumericalError,
-)
+from .core import ClusterModel, MembershipSolution, NumericalError
 
 # Enough halvings to collapse [tiny, 1] to one float spacing: the root
 # e**(-d/gamma) can sit arbitrarily deep in the subnormals, and each
@@ -232,9 +225,7 @@ def _bisect_down(lo, hi, d, gamma, lam, p, tol):
     raise NumericalError("bisection did not converge", bracket=(lo, hi))
 
 
-def update_memberships(state: IterationState, model: ClusterModel,
-                       data: DataSet) -> MembershipMatrix:
-    """Solve every entry of the membership matrix for the current model."""
-    del data  # distances already live in the state
-    u = _solve_batch(state.d, model.gamma, model.lam, model.p)
-    return MembershipMatrix(u=u)
+def update_memberships(d: np.ndarray, model: ClusterModel) -> np.ndarray:
+    """Solve every entry of the N x m membership matrix for the squared
+    distances d to the model's representatives."""
+    return _solve_batch(d, model.gamma, model.lam, model.p)

@@ -16,7 +16,7 @@ import numpy as np
 import test_properties as props
 from reference_tables import GAMMA_INIT, INIT, PCM_ITER8, SPCM_ITER5
 from sparsepcm.algorithms import AlgoConfig, run
-from sparsepcm.core import ClusterModel, IterationState, squared_distances
+from sparsepcm.core import ClusterModel, squared_distances
 from sparsepcm.datagen import make_fixture
 from sparsepcm.fcm import run_fcm
 from sparsepcm.solver import compute_lambda, solve_membership, update_memberships
@@ -120,15 +120,11 @@ def _aligned(u, theta, ref):
 
 
 def _recomputed_memberships(data, report, p=0.5):
-    lam = report.history[-1].lam if report.history else 0.0
     model = ClusterModel(
-        theta=report.theta_final, gamma=report.gamma_final, lam=lam, p=p
+        theta=report.theta_final, gamma=report.gamma_final,
+        lam=report.lam_final, p=p,
     )
-    state = IterationState(
-        d=squared_distances(data, report.theta_final),
-        m_current=report.m_final,
-    )
-    return update_memberships(state, model, data).u
+    return update_memberships(squared_distances(data, report.theta_final), model)
 
 
 def test_acceptance_1_solver_matches_grid_oracle(acceptance_log):

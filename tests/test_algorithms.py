@@ -1,28 +1,24 @@
 import numpy as np
 import pytest
 
-from sparsepcm import (
+from sparsepcm.algorithms import (
     AlgoConfig,
+    adapt_eta,
+    assign_labels,
+    eliminate_clusters,
+    remove_duplicates,
+    run,
+    update_theta,
+)
+from sparsepcm.core import (
     ClusterModel,
     ConfigurationError,
     DataSet,
     DegenerateRunError,
-    IterationState,
-    adapt_eta,
-    assign_labels,
-    compute_lambda,
-    eliminate_clusters,
-    gamma_init_pcm,
-    remove_duplicates,
-    run,
-    run_fcm,
-    run_pcm,
-    run_sapcm,
-    run_spcm,
     squared_distances,
-    update_memberships,
-    update_theta,
 )
+from sparsepcm.fcm import gamma_init_pcm, run_fcm
+from sparsepcm.solver import compute_lambda, update_memberships
 
 import reference_tables as ref
 
@@ -95,12 +91,10 @@ def test_eliminate_clusters_renumbers():
         [0.0, 0.0, 0.7],
     ])
     labels, n, mu = assign_labels(u, data.points)
-    state = IterationState(d=squared_distances(data, model.theta), m_current=3)
-    state.labels, state.n, state.mu = labels, n, mu
-    new_model, new_u, removed = eliminate_clusters(state, model, u)
+    new_model, labels, n, mu, removed = eliminate_clusters(model, labels, n, mu)
     assert removed == [1]
     assert new_model.m == 2
-    assert state.labels.tolist() == [1, 1, 2]
+    assert labels.tolist() == [1, 1, 2]
     np.testing.assert_allclose(new_model.theta[:, 0], [0.0, 5.0])
 
 
@@ -109,20 +103,15 @@ def test_eliminate_all_clusters_raises():
     model = ClusterModel(theta=np.array([[9.0]]), gamma=np.array([1.0]), lam=0.0, p=0.5)
     u = np.zeros((2, 1))
     labels, n, mu = assign_labels(u, data.points)
-    state = IterationState(d=squared_distances(data, model.theta), m_current=1)
-    state.labels, state.n, state.mu = labels, n, mu
     with pytest.raises(DegenerateRunError):
-        eliminate_clusters(state, model, u)
+        eliminate_clusters(model, labels, n, mu)
 
 
 def test_adapt_eta_mean_absolute_deviation():
     data = DataSet(points=np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 3.0]]))
     labels = np.array([1, 1, 2])
     mu = np.array([[1.0, 0.0], [1.0, 3.0]])
-    state = IterationState(
-        d=np.zeros((3, 2)), labels=labels, n=np.array([2, 1]), mu=mu, m_current=2
-    )
-    eta = adapt_eta(state, data)
+    eta = adapt_eta(data, labels, np.array([2, 1]), mu)
     assert eta[0] == pytest.approx(1.0)       # two points, one unit away each
     assert eta[1] == pytest.approx(1e-9)      # singleton clamps to the floor
 
@@ -148,9 +137,9 @@ def _model(theta, gamma):
     )
 
 
-def test_remove_duplicates_explicit_tolerance():
+def test_remove_duplicates_keeps_lowest_index():
     model = _model([[0.0, 0.0], [0.4, 0.0], [3.0, 0.0]], [1.0, 1.0, 1.0])
-    out = remove_duplicates(model, 0.5)
+    out = remove_duplicates(model)
     assert out.m == 2
     np.testing.assert_allclose(out.theta[:, 0], [0.0, 3.0])  # keeps lowest index
 
@@ -184,14 +173,14 @@ def test_remove_duplicates_is_idempotent():
 
 def test_pcm_single_blob_collapses_to_one():
     data = _blob()
-    report = run_pcm(data, AlgoConfig("pcm", 2, seed=0))
+    report = run(data, AlgoConfig("pcm", 2, seed=0))
     assert report.m_final == 1
     assert (report.labels_final == 1).all()
     assert np.linalg.norm(report.theta_final[0] - data.points.mean(axis=0)) < 0.1
 
 
 def test_spcm_two_blob_run_shape(two_blobs):
-    report = run_spcm(two_blobs, AlgoConfig("spcm", 5, seed=0))
+    report = run(two_blobs, AlgoConfig("spcm", 5, seed=0))
     assert report.algorithm == "spcm"
     assert report.m_final == 2
     assert report.metrics is not None
@@ -204,7 +193,7 @@ def test_spcm_two_blob_run_shape(two_blobs):
 
 
 def test_spcm_lambda_constant_over_iterations(two_blobs):
-    report = run_spcm(two_blobs, AlgoConfig("spcm", 5, seed=0))
+    report = run(two_blobs, AlgoConfig("spcm", 5, seed=0))
     lams = {rec.lam for rec in report.history}
     assert len(lams) == 1
     assert lams.pop() > 0.0
@@ -217,7 +206,7 @@ def test_apcm_mode_runs_with_zero_lambda(two_blobs):
 
 def test_sapcm_cluster_count_never_increases():
     data = make_three_groups()
-    report = run_sapcm(data, AlgoConfig("sapcm", 6, alpha=1.0, seed=0))
+    report = run(data, AlgoConfig("sapcm", 6, alpha=1.0, seed=0))
     ms = [rec.m for rec in report.history]
     assert all(a >= b for a, b in zip(ms, ms[1:]))
     assert report.m_final == ms[-1]
@@ -237,7 +226,7 @@ def make_three_groups(seed=1):
 
 def test_sapcm_recovers_three_groups():
     data = make_three_groups()
-    report = run_sapcm(data, AlgoConfig("sapcm", 6, alpha=1.0, seed=0))
+    report = run(data, AlgoConfig("sapcm", 6, alpha=1.0, seed=0))
     assert report.m_final == 3
     assert report.metrics["sr"] >= 98.0
     assert report.metrics["md"] <= 0.15
@@ -250,22 +239,13 @@ def test_coincident_representatives_larger_scale_wins():
     theta = np.array([[0.0, 0.0], [0.0, 0.0]])
     gamma = np.array([0.25, 2.0])
     lam = compute_lambda(float(gamma.min()), 0.5, 0.1)
-    model = ClusterModel(theta=theta, gamma=gamma, lam=lam, p=0.5, K=0.1)
-    state = IterationState(d=squared_distances(data, theta), m_current=2)
-    u = update_memberships(state, model, data)
+    model = ClusterModel(theta=theta, gamma=gamma, lam=lam, p=0.5)
+    u = update_memberships(squared_distances(data, theta), model)
     labels, n, mu = assign_labels(u, data.points)
-    state.labels, state.n, state.mu = labels, n, mu
-    new_model, _, removed = eliminate_clusters(state, model, u.u)
+    new_model, _, _, _, removed = eliminate_clusters(model, labels, n, mu)
     assert removed == [0]
     assert new_model.m == 1
     assert new_model.gamma[0] == pytest.approx(2.0)
-
-
-def test_dispatch_matches_direct_calls(two_blobs):
-    a = run(two_blobs, AlgoConfig("pcm", 3, seed=1))
-    b = run_pcm(two_blobs, AlgoConfig("pcm", 3, seed=1))
-    np.testing.assert_allclose(a.theta_final, b.theta_final)
-    assert a.m_final == b.m_final
 
 
 def test_spcm_far_outlier_is_unassigned():
@@ -276,8 +256,17 @@ def test_spcm_far_outlier_is_unassigned():
         [[60.0, 60.0]],
     ])
     data = DataSet(points=pts)
-    report = run_spcm(data, AlgoConfig("spcm", 2, seed=0))
+    report = run(data, AlgoConfig("spcm", 2, seed=0))
     assert report.labels_final[-1] == 0
+
+
+def test_run_without_labeled_points_has_no_metrics():
+    # truth labels that are all noise leave nothing to score
+    data = _blob()
+    data = DataSet(points=data.points, truth_labels=np.zeros(data.n_points, dtype=int))
+    report = run(data, AlgoConfig("pcm", 2, seed=0))
+    assert report.metrics is None
+    assert report.m_final == 1
 
 
 # ----------------------------------------------- 17-point set snapshots
@@ -297,8 +286,7 @@ def test_first_iteration_snapshots_match_reference(tiny_two_cluster_set):
     np.testing.assert_allclose(u_pcm, ref.PCM_ITER1, atol=0.03)
 
     lam = compute_lambda(float(gamma.min()), 0.5, 0.9)
-    model = ClusterModel(theta=theta, gamma=gamma, lam=lam, p=0.5, K=0.9)
-    state = IterationState(d=d, m_current=2)
-    u_spcm = update_memberships(state, model, data).u
+    model = ClusterModel(theta=theta, gamma=gamma, lam=lam, p=0.5)
+    u_spcm = update_memberships(d, model)
     np.testing.assert_allclose(u_spcm, ref.SPCM_ITER1, atol=0.02)
     np.testing.assert_array_equal(u_spcm == 0.0, ref.SPCM_ITER1 == 0.0)

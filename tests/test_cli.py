@@ -88,6 +88,10 @@ def test_main_end_to_end(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0] == [f"u_{j + 1}" for j in range(report.m_final)]
     assert len(rows) - 1 == 160
+    # the exported memberships are the ones the final labels came from
+    u = np.array(rows[1:], dtype=float)
+    expect = np.where(u.max(axis=1) > 0.0, u.argmax(axis=1) + 1, 0)
+    np.testing.assert_array_equal(expect, report.labels_final)
     with (run_dir / "theta.csv").open() as fh:
         theta_rows = list(csv.reader(fh))
     assert len(theta_rows) - 1 == report.m_final
@@ -147,6 +151,57 @@ def test_generator_spec_input(tmp_path):
     assert code == 0
     doc = json.loads((out / "report.json").read_text())
     assert doc["reports"][0]["metrics"]["sr"] == pytest.approx(100.0, abs=1.0)
+
+
+def test_generator_spec_without_labeled_points(tmp_path):
+    # an empty component plus noise: truth labels exist but are all 0,
+    # so the run succeeds without metrics
+    gen = {
+        "components": [
+            {"mean": [0.0, 0.0], "covariance": [[0.2, 0.0], [0.0, 0.2]], "count": 0},
+        ],
+        "noise_count": 40,
+        "noise_box": [[0.0, 0.0], [1.0, 1.0]],
+        "seed": 7,
+    }
+    gpath = tmp_path / "noise.json"
+    gpath.write_text(json.dumps(gen))
+    out = tmp_path / "out"
+    code = main([
+        "--algo", "pcm", "--m-ini", "2", "--seed", "0",
+        "--generator", str(gpath), "--out", str(out), "--emit", "report",
+    ])
+    assert code == 0
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["failures"] == []
+    assert doc["reports"][0]["metrics"] is None
+
+
+def test_failed_run_does_not_shift_later_artifacts(tmp_path, capsys):
+    # run 0 fails (m_ini > N); run 1's artifacts keep its own index and
+    # its own p, so its memberships reproduce its labels
+    data_csv = _write_blob_csv(tmp_path / "blobs.csv", n=60)
+    config = {
+        "schema_version": 1,
+        "runs": [
+            {"algorithm": "spcm", "m_ini": 500},
+            {"algorithm": "spcm", "m_ini": 4, "p": 0.2, "K": 0.95},
+        ],
+        "input": {"csv": str(data_csv)},
+        "output_dir": str(tmp_path / "out"),
+    }
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps(config))
+    assert main(["--config", str(cpath)]) == 1
+    capsys.readouterr()
+    out = tmp_path / "out"
+    doc = json.loads((out / "report.json").read_text())
+    assert [f["run"] for f in doc["failures"]] == [0]
+    assert not (out / "run_00_spcm").exists()
+    with (out / "run_01_spcm" / "memberships.csv").open() as fh:
+        u = np.array(list(csv.reader(fh))[1:], dtype=float)
+    expect = np.where(u.max(axis=1) > 0.0, u.argmax(axis=1) + 1, 0)
+    np.testing.assert_array_equal(expect, doc["reports"][0]["labels_final"])
 
 
 def test_exit_code_2_on_bad_configuration(tmp_path, capsys):

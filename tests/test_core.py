@@ -2,15 +2,12 @@ import numpy as np
 import pytest
 
 from sparsepcm import (
-    ClusterModel,
     ClusteringError,
     ConfigurationError,
     DataSet,
-    IterationRecord,
-    MembershipMatrix,
     RunReport,
-    squared_distances,
 )
+from sparsepcm.core import ClusterModel, IterationRecord, squared_distances
 
 
 def test_dataset_coerces_to_float_matrix():
@@ -40,11 +37,6 @@ def test_dataset_truth_label_validation():
         DataSet(points=pts, truth_centers=np.zeros((2, 3)))
 
 
-def test_bbox_diagonal():
-    d = DataSet(points=[[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]])
-    assert d.bbox_diagonal() == pytest.approx(5.0)
-
-
 def test_squared_distances_matches_manual():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(20, 3))
@@ -58,15 +50,15 @@ def test_squared_distances_matches_manual():
 
 def test_cluster_model_validation():
     theta = np.zeros((2, 2))
-    ClusterModel(theta=theta, gamma=np.ones(2), lam=0.1, p=0.5, K=0.9)
+    ClusterModel(theta=theta, gamma=np.ones(2), lam=0.1, p=0.5)
     with pytest.raises(ConfigurationError):
-        ClusterModel(theta=theta, gamma=np.ones(3), lam=0.1, p=0.5, K=0.9)
+        ClusterModel(theta=theta, gamma=np.ones(3), lam=0.1, p=0.5)
     with pytest.raises(ConfigurationError):
-        ClusterModel(theta=theta, gamma=np.array([1.0, 0.0]), lam=0.1, p=0.5, K=0.9)
+        ClusterModel(theta=theta, gamma=np.array([1.0, 0.0]), lam=0.1, p=0.5)
     with pytest.raises(ConfigurationError):
-        ClusterModel(theta=theta, gamma=np.ones(2), lam=-1.0, p=0.5, K=0.9)
+        ClusterModel(theta=theta, gamma=np.ones(2), lam=-1.0, p=0.5)
     with pytest.raises(ConfigurationError):
-        ClusterModel(theta=theta, gamma=np.ones(2), lam=0.1, p=1.0, K=0.9)
+        ClusterModel(theta=theta, gamma=np.ones(2), lam=0.1, p=1.0)
 
 
 def test_cluster_model_select_keeps_rows():
@@ -75,20 +67,11 @@ def test_cluster_model_select_keeps_rows():
         gamma=np.array([1.0, 2.0, 3.0]),
         lam=0.0,
         p=0.5,
-        K=0.0,
     )
     sub = model.select(np.array([True, False, True]))
     assert sub.m == 2
     np.testing.assert_allclose(sub.gamma, [1.0, 3.0])
     np.testing.assert_allclose(sub.theta[1], [2.0, 2.0])
-
-
-def test_membership_matrix_bounds():
-    MembershipMatrix(u=np.array([[0.0, 1.0]]))
-    with pytest.raises(ConfigurationError):
-        MembershipMatrix(u=np.array([[0.0, 1.2]]))
-    with pytest.raises(ConfigurationError):
-        MembershipMatrix(u=np.array([[-0.1, 0.5]]))
 
 
 def test_exception_hierarchy():
@@ -112,6 +95,7 @@ def test_run_report_round_trips_through_dict():
         wall_time=0.01,
         theta_final=np.array([[1.0, 2.0]]),
         gamma_final=np.array([0.5]),
+        lam_final=0.125,
         labels_final=np.array([1, 1, 0]),
         seed=9,
         metrics={"rm": 100.0, "sr": 100.0, "sr_per_cluster": [100.0], "md": 0.0},
@@ -123,5 +107,6 @@ def test_run_report_round_trips_through_dict():
     assert back.m_final == 1
     assert back.labels_final.tolist() == [1, 1, 0]
     np.testing.assert_allclose(back.theta_final, report.theta_final)
+    assert back.lam_final == 0.125
     assert back.history[0].lam == pytest.approx(0.25)
     assert back.metrics["sr"] == pytest.approx(100.0)

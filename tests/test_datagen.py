@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from sparsepcm import ConfigurationError, MixtureSpec, generate, make_fixture
-from sparsepcm.datagen import FIXTURE_NAMES, Component, experiment1_fixture
+from sparsepcm import ConfigurationError, make_fixture
+from sparsepcm.datagen import (
+    FIXTURE_NAMES,
+    Component,
+    MixtureSpec,
+    experiment1_fixture,
+    generate,
+)
 
 
 def test_generate_counts_and_labels():

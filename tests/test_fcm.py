@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from sparsepcm import (
-    ConfigurationError,
-    DataSet,
-    DegenerateClusterError,
-    eta_init_sapcm,
-    gamma_init_pcm,
-    run_fcm,
-    run_kmeans,
-)
+from sparsepcm import ConfigurationError, DataSet, DegenerateClusterError
+from sparsepcm.fcm import eta_init_sapcm, gamma_init_pcm, run_fcm
 
 
 def _blobs(seed=0):
@@ -90,21 +83,3 @@ def test_degenerate_data_raises():
         res = run_fcm(DataSet(points=pts), 2, seed=0)
         gamma_init_pcm(DataSet(points=pts), res)
 
-
-def test_kmeans_two_blobs():
-    data = _blobs()
-    theta, labels = run_kmeans(data, 2, seed=5)
-    assert sorted(np.unique(labels)) == [1, 2]
-    assert theta.shape == (2, 2)
-    centers = theta[np.argsort(theta[:, 0])]
-    assert np.linalg.norm(centers[0] - [0.0, 0.0]) < 0.2
-    assert np.linalg.norm(centers[1] - [5.0, 5.0]) < 0.2
-
-
-def test_kmeans_reseeds_empty_clusters():
-    # two far singletons plus one big blob; m=3 forces a reseed on the
-    # draws that put two representatives on the same side
-    rng = np.random.default_rng(2)
-    pts = np.vstack([rng.normal(size=(50, 2)), [[40.0, 40.0]], [[-40.0, 40.0]]])
-    theta, labels = run_kmeans(DataSet(points=pts), 3, seed=0)
-    assert len(np.unique(labels)) == 3

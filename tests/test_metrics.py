@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparsepcm import mean_distance, rand_measure, success_rate
+from sparsepcm.metrics import mean_distance, rand_measure, success_rate
 
 
 def test_perfect_labeling():

@@ -123,7 +123,7 @@ def test_theta_update_stays_inside_data_box(seed, n, dim, m, dead):
     dead_cols = [j for j in range(m) if dead[j % len(dead)]]
     u[:, dead_cols] = 0.0
     theta = update_theta(u, data, theta_prev)
-    lo, hi = data.bounding_box()
+    lo, hi = data.points.min(axis=0), data.points.max(axis=0)
     for j in range(m):
         if j in dead_cols:
             np.testing.assert_array_equal(theta[j], theta_prev[j])

@@ -3,14 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from sparsepcm import (
-    ClusterModel,
-    DataSet,
-    IterationState,
+from sparsepcm.core import ClusterModel, DataSet, squared_distances
+from sparsepcm.solver import (
     compute_lambda,
     f_value,
     solve_membership,
-    squared_distances,
     u_hat,
     update_memberships,
 )
@@ -116,10 +113,11 @@ def test_update_memberships_matches_scalar_solver():
     gamma = rng.uniform(0.3, 2.0, size=3)
     lam = compute_lambda(float(gamma.min()), 0.5, 0.9)
     data = DataSet(points=x)
-    model = ClusterModel(theta=theta, gamma=gamma, lam=lam, p=0.5, K=0.9)
+    model = ClusterModel(theta=theta, gamma=gamma, lam=lam, p=0.5)
     d = squared_distances(data, theta)
-    state = IterationState(d=d, m_current=3)
-    u = update_memberships(state, model, data).u
+    u = update_memberships(d, model)
+    assert u.shape == (40, 3)
+    assert np.all(np.isfinite(u)) and u.min() >= 0.0 and u.max() <= 1.0
     for i in range(0, 40, 7):
         for j in range(3):
             sol = solve_membership(float(d[i, j]), float(gamma[j]), lam, 0.5)
@@ -131,9 +129,8 @@ def test_memberships_decay_with_distance_row():
     theta = np.array([[0.0]])
     gamma = np.array([1.0])
     lam = compute_lambda(1.0, 0.5, 0.9)
-    model = ClusterModel(theta=theta, gamma=gamma, lam=lam, p=0.5, K=0.9)
-    state = IterationState(d=squared_distances(data, theta), m_current=1)
-    u = update_memberships(state, model, data).u[:, 0]
+    model = ClusterModel(theta=theta, gamma=gamma, lam=lam, p=0.5)
+    u = update_memberships(squared_distances(data, theta), model)[:, 0]
     assert (np.diff(u) <= 1e-12).all()
     assert u[0] > 0.0
     assert u[-1] == 0.0
