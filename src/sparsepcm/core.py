@@ -31,11 +31,7 @@ class DegenerateRunError(ClusteringError):
 
 
 class NumericalError(ClusteringError):
-    """Root finding failed to converge; carries the final bracket."""
-
-    def __init__(self, message, bracket=None):
-        super().__init__(message)
-        self.bracket = bracket
+    """A computation left float range or root finding failed to converge."""
 
 
 def _as_float_matrix(a, name):
@@ -76,6 +72,11 @@ class DataSet:
             tc = _as_float_matrix(self.truth_centers, "truth_centers")
             if tc.shape[1] != pts.shape[1]:
                 raise ConfigurationError("truth_centers dimension mismatch")
+            if self.truth_labels is not None and self.truth_labels.max() > tc.shape[0]:
+                raise ConfigurationError(
+                    f"truth label {self.truth_labels.max()} has no row in "
+                    f"truth_centers ({tc.shape[0]} rows)"
+                )
             object.__setattr__(self, "truth_centers", tc)
 
     @property
@@ -237,13 +238,18 @@ class RunReport:
 def squared_distances(data: DataSet, theta: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between every point and every representative.
 
-    Returns an N x m matrix. Computed from explicit coordinate
-    differences so that identical coordinates give an exact zero.
+    Returns an N x m matrix, accumulated one feature at a time from
+    explicit coordinate differences, so no N x m x l temporary is built
+    and identical coordinates give an exact zero.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 2 or theta.shape[1] != data.n_features:
         raise ConfigurationError(
             f"theta shape {theta.shape} does not match data dimension {data.n_features}"
         )
-    diff = data.points[:, None, :] - theta[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    x = data.points
+    d = np.zeros((x.shape[0], theta.shape[0]))
+    for k in range(x.shape[1]):
+        diff = x[:, k, None] - theta[None, :, k]
+        d += diff * diff
+    return d

@@ -14,6 +14,7 @@ from .core import (
     ConfigurationError,
     DataSet,
     DegenerateClusterError,
+    NumericalError,
     squared_distances,
 )
 
@@ -37,13 +38,22 @@ def _fcm_memberships(d: np.ndarray, fuzzifier: float) -> np.ndarray:
     """Row-stochastic memberships from squared distances.
 
     Rows containing a zero distance split their mass equally over the
-    coincident clusters.
+    coincident clusters. Raises NumericalError when the weights
+    (1/d)**(1/(fuzzifier-1)) of a row without a zero distance leave
+    float range, as they do for subnormal distances.
     """
     expo = 1.0 / (fuzzifier - 1.0)
     zero_rows = (d == 0.0).any(axis=1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv = (1.0 / d) ** expo
-        u = inv / inv.sum(axis=1, keepdims=True)
+        total = inv.sum(axis=1)
+        u = inv / total[:, None]
+    bad = ~zero_rows & ~(np.isfinite(total) & (total > 0.0))
+    if bad.any():
+        raise NumericalError(
+            f"FCM membership weights (1/d)**{expo:g} leave float64 range "
+            f"at squared distances down to {d[bad].min():.3g}"
+        )
     if zero_rows.any():
         hits = d[zero_rows] == 0.0
         u[zero_rows] = hits / hits.sum(axis=1, keepdims=True)

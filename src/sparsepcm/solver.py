@@ -8,9 +8,15 @@ in the membership u is
 with d the squared distance. f has a unique interior minimum at
 u_hat = [lam*p*(1-p)/gamma]**(1/(1-p)). If f(u_hat) >= 0 the cost is
 increasing on (0,1] and the optimal membership is exactly 0. Otherwise
-f has two roots and the larger one, found by bisection on (u_hat, 1],
-is the candidate; it is kept only if it beats the zero solution, which
-reduces to the closed-form test u2 > (lam*(1-p)/gamma)**(1/(1-p)).
+f has two roots and the larger one is the candidate; it is kept only if
+it beats the zero solution, which reduces to the closed-form test
+u2 > thr = (lam*(1-p)/gamma)**(1/(1-p)).
+
+The larger root is found by Newton's method in t = ln u, where
+f(t) = d + gamma*t + lam*p*e**((p-1)*t) is convex with f(0) > 0: started
+at t = 0 the iterates descend monotonically onto the root, with no
+bracket. An iterate that falls to ln(thr) settles the entry as 0, since
+the root lies below it.
 
 With lam = 0 everything collapses to the classical exponential
 membership exp(-d/gamma).
@@ -24,11 +30,9 @@ import numpy as np
 
 from .core import ClusterModel, MembershipSolution, NumericalError
 
-# Enough halvings to collapse [tiny, 1] to one float spacing: the root
-# e**(-d/gamma) can sit arbitrarily deep in the subnormals, and each
-# pass drops entries as they converge, so the ceiling only matters for
-# those stragglers.
-_MAX_BISECT = 1200
+# With the threshold stop Newton needs under ten steps; the slowest case,
+# a near-double root traced by solve_membership, needs about twenty.
+_MAX_NEWTON = 100
 _DEFAULT_TOL = 1e-10
 
 
@@ -81,44 +85,41 @@ def _f_hat_closed(d, gamma, lam, p):
         return d + gamma / (1.0 - p) * (1.0 + np.log(a))
 
 
-def _sparsity_threshold(gamma, lam, p):
-    """The root must exceed this to beat the zero solution."""
-    return (lam * (1.0 - p) / gamma) ** (1.0 / (1.0 - p))
+def _log_sparsity_threshold(gamma, lam, p):
+    """ln of (lam*(1-p)/gamma)**(1/(1-p)), the value the root must exceed
+    to beat the zero solution."""
+    return (math.log(lam * (1.0 - p)) - np.log(gamma)) / (1.0 - p)
 
 
-def _bisect_batch(d, gamma, lo, hi, lam, p, tol):
-    """Bisection for the larger root of f on per-entry brackets.
+def _newton_log(d, gamma, t, t_stop, lam, p, tol):
+    """Newton iteration in t = ln u for a root of
+    f(t) = d + gamma*t + lam*p*e**((p-1)*t).
 
-    All arguments are equal-length 1-D arrays except lam, p, tol. The
-    bracket must satisfy f(lo) < 0 < f(hi). Iterates until
-    |f(mid)| <= tol*(d+gamma+lam+1) or the bracket hits float spacing.
+    All array arguments are equal-length 1-D arrays. f is convex, so
+    from a start right of the larger root the iterates descend onto it,
+    and from a start left of the smaller root they climb onto it; in
+    neither case do they overshoot. An entry stops when
+    |f| <= tol*(d+gamma+lam+1), or with result -inf as soon as its
+    iterate falls to t_stop. Returns ln of the roots.
     """
-    n = d.shape[0]
-    root = np.full(n, np.nan)
-    if n == 0:
-        return root
-    scale = d + gamma + lam + 1.0
-    sel = np.arange(n)
-    lo = lo.copy()
-    hi = hi.copy()
-    de, ge, sc = d.copy(), gamma.copy(), scale.copy()
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        logmid = np.log(mid)
-        fm = de + ge * logmid + lam * p * np.exp((p - 1.0) * logmid)
-        done = (np.abs(fm) <= tol * sc) | (mid <= lo) | (mid >= hi)
-        if done.any():
-            root[sel[done]] = mid[done]
-        keep = ~done
+    out = np.full(d.shape[0], -np.inf)
+    ftol = tol * (d + gamma + lam + 1.0)
+    sel = np.arange(d.shape[0])
+    c = lam * p
+    for _ in range(_MAX_NEWTON):
+        e = c * np.exp((p - 1.0) * t)
+        f = d + gamma * t + e
+        done = np.abs(f) <= ftol
+        out[sel[done]] = t[done]
+        t = t - f / (gamma - (1.0 - p) * e)
+        keep = ~done & (t > t_stop)
         if not keep.any():
-            return root
-        neg = fm < 0.0
-        lo = np.where(neg, mid, lo)[keep]
-        hi = np.where(neg, hi, mid)[keep]
-        sel, de, ge, sc = sel[keep], de[keep], ge[keep], sc[keep]
+            return out
+        sel, d, gamma, ftol, t, t_stop = (
+            sel[keep], d[keep], gamma[keep], ftol[keep], t[keep], t_stop[keep]
+        )
     raise NumericalError(
-        f"bisection did not converge for {sel.size} entries",
-        bracket=(float(lo[0]), float(hi[0])),
+        f"Newton iteration did not converge for {sel.size} entries"
     )
 
 
@@ -135,7 +136,7 @@ def _solve_batch(d, gamma, lam, p, tol=_DEFAULT_TOL):
     fhat = _f_hat_closed(d, gamma[None, :], lam, p)
     u = np.zeros_like(d)
     interior = (uh[None, :] < 1.0) & (fhat < 0.0)
-    # Degenerate bracket: u_hat at or past 1. f(1) = d + lam*p > 0 always
+    # Degenerate case: u_hat at or past 1. f(1) = d + lam*p > 0 always
     # (d >= 0, lam > 0), so there is no root in (0,1]; the boundary value
     # u = 1 is only preferable when the cost there is negative.
     boundary = uh[None, :] >= 1.0
@@ -146,17 +147,15 @@ def _solve_batch(d, gamma, lam, p, tol=_DEFAULT_TOL):
         interior &= ~boundary
     if interior.any():
         rows, cols = np.nonzero(interior)
-        roots = _bisect_batch(
-            d[rows, cols],
-            gamma[cols],
-            uh[cols],
-            np.ones(rows.size),
-            lam,
-            p,
-            tol,
+        # f' >= gamma*(1-p) > 0 right of the threshold, so stopping there
+        # keeps Newton off the flat bottom of f; a root at or below it
+        # loses to the zero solution anyway.
+        log_thr = _log_sparsity_threshold(gamma, lam, p)[cols]
+        t = _newton_log(
+            d[rows, cols], gamma[cols], np.zeros(rows.size), log_thr,
+            lam, p, tol,
         )
-        thr = _sparsity_threshold(gamma[cols], lam, p)
-        u[rows, cols] = np.where(roots > thr, roots, 0.0)
+        u[rows, cols] = np.where(t > log_thr, np.exp(t), 0.0)
     return u
 
 
@@ -187,15 +186,18 @@ def solve_membership(d, gamma, lam, p, tol=_DEFAULT_TOL) -> MembershipSolution:
     chosen = float(
         _solve_batch(np.array([[d]]), np.array([gamma]), lam, p, tol)[0, 0]
     )
+
+    def root_from(u0):
+        t = _newton_log(
+            np.array([d]), np.array([gamma]), np.array([math.log(u0)]),
+            np.array([-np.inf]), lam, p, tol,
+        )
+        return float(np.exp(t[0]))
+
     root_low = None
     root_high = None
     if uh < 1.0 and fhat < 0.0:
-        root_high = float(
-            _bisect_batch(
-                np.array([d]), np.array([gamma]), np.array([uh]),
-                np.array([1.0]), lam, p, tol,
-            )[0]
-        )
+        root_high = root_from(1.0)
         # the smaller root lives in (0, u_hat); walk down to a positive f.
         # u_hat can underflow to 0 for vanishing lam, in which case the
         # small root is below float range and stays unreported.
@@ -203,26 +205,11 @@ def solve_membership(d, gamma, lam, p, tol=_DEFAULT_TOL) -> MembershipSolution:
         while lo > 0.0 and f_value(lo, d, gamma, lam, p) <= 0.0:
             lo *= 0.5
         if lo > 0.0:
-            root_low = _bisect_down(lo, uh, d, gamma, lam, p, tol)
+            root_low = root_from(lo)
     return MembershipSolution(
         u_hat=uh, f_at_u_hat=fhat, root_low=root_low, root_high=root_high,
         chosen=chosen,
     )
-
-
-def _bisect_down(lo, hi, d, gamma, lam, p, tol):
-    """Bisection for the smaller root, where f(lo) > 0 > f(hi)."""
-    scale = d + gamma + lam + 1.0
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        fm = d + gamma * math.log(mid) + lam * p * mid ** (p - 1.0)
-        if abs(fm) <= tol * scale or mid <= lo or mid >= hi:
-            return float(mid)
-        if fm > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise NumericalError("bisection did not converge", bracket=(lo, hi))
 
 
 def update_memberships(d: np.ndarray, model: ClusterModel) -> np.ndarray:

@@ -15,6 +15,7 @@ from sparsepcm.core import (
     ConfigurationError,
     DataSet,
     DegenerateRunError,
+    NumericalError,
     squared_distances,
 )
 from sparsepcm.fcm import gamma_init_pcm, run_fcm
@@ -267,6 +268,15 @@ def test_run_without_labeled_points_has_no_metrics():
     report = run(data, AlgoConfig("pcm", 2, seed=0))
     assert report.metrics is None
     assert report.m_final == 1
+
+
+@pytest.mark.parametrize("algorithm, alpha", [("spcm", None), ("sapcm", 1.0)])
+def test_subnormal_distances_raise_numerical_error(algorithm, alpha):
+    # at 1e-160 the squared distances are subnormal and 1/d overflows in
+    # the FCM seeding: a numerical limit, not a configuration error
+    data = DataSet(points=_blob().points * 1e-160)
+    with pytest.raises(NumericalError, match="float64 range"):
+        run(data, AlgoConfig(algorithm, 3, alpha=alpha, seed=0))
 
 
 # ----------------------------------------------- 17-point set snapshots

@@ -33,19 +33,27 @@ def test_dataset_truth_label_validation():
         DataSet(points=pts, truth_labels=[1, 2])
     with pytest.raises(ConfigurationError):
         DataSet(points=pts, truth_labels=[-1, 0, 1])
+    # every positive label needs its generator mean
+    DataSet(points=pts, truth_labels=[0, 1, 2], truth_centers=np.zeros((2, 2)))
+    with pytest.raises(ConfigurationError):
+        DataSet(points=pts, truth_labels=[0, 1, 2], truth_centers=np.zeros((1, 2)))
     with pytest.raises(ConfigurationError):
         DataSet(points=pts, truth_centers=np.zeros((2, 3)))
 
 
 def test_squared_distances_matches_manual():
     rng = np.random.default_rng(0)
-    x = rng.normal(size=(20, 3))
-    theta = rng.normal(size=(4, 3))
-    d = squared_distances(DataSet(points=x), theta)
-    manual = ((x[:, None, :] - theta[None, :, :]) ** 2).sum(axis=2)
-    assert d.shape == (20, 4)
-    np.testing.assert_allclose(d, manual, atol=1e-12)
-    assert (d >= 0).all()
+    for n_features in (1, 3, 5):
+        x = rng.normal(size=(20, n_features))
+        theta = rng.normal(size=(4, n_features))
+        x[7] = theta[2]
+        d = squared_distances(DataSet(points=x), theta)
+        manual = ((x[:, None, :] - theta[None, :, :]) ** 2).sum(axis=2)
+        assert d.shape == (20, 4)
+        np.testing.assert_allclose(d, manual, atol=1e-12)
+        assert (d >= 0).all()
+        # a point on a representative is exactly at distance zero
+        assert d[7, 2] == 0.0
 
 
 def test_cluster_model_validation():

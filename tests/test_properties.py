@@ -23,7 +23,7 @@ _SUITE = settings(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 
-# bisection stops at |f| <= 1e-10 * scale; 1e-6 in u absorbs the slack
+# the solver stops at |f| <= 1e-10 * scale; 1e-6 in u absorbs the slack
 _U_SLACK = 1e-6
 
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sparsepcm.core import ClusterModel, DataSet, squared_distances
+from sparsepcm import solver
+from sparsepcm.core import ClusterModel, DataSet, NumericalError, squared_distances
 from sparsepcm.solver import (
     compute_lambda,
     f_value,
@@ -87,6 +88,33 @@ def test_nonzero_solutions_are_stationary_points():
             assert sol.chosen >= sol.u_hat - 1e-12
             checked += 1
     assert checked > 100
+
+
+def test_both_roots_bracket_u_hat_and_are_stationary():
+    rng = np.random.default_rng(5)
+    checked = 0
+    for _ in range(500):
+        gamma = float(rng.uniform(0.05, 4.0))
+        p = float(rng.uniform(0.2, 0.8))
+        lam = compute_lambda(gamma, p, float(rng.uniform(0.05, 0.95)))
+        d = float(gamma * rng.uniform(0.0, 4.0))
+        sol = solve_membership(d, gamma, lam, p)
+        if sol.f_at_u_hat >= 0.0 or sol.u_hat >= 1.0:
+            continue
+        scale = d + gamma + lam + 1.0
+        assert sol.root_low < sol.u_hat < sol.root_high
+        for root in (sol.root_low, sol.root_high):
+            assert abs(f_value(root, d, gamma, lam, p)) <= 1e-8 * scale
+        checked += 1
+    assert checked > 100
+
+
+def test_newton_iteration_cap_raises(monkeypatch):
+    lam = compute_lambda(1.0, 0.5, 0.9)
+    assert solve_membership(0.2, 1.0, lam, 0.5).chosen > 0.0
+    monkeypatch.setattr(solver, "_MAX_NEWTON", 1)
+    with pytest.raises(NumericalError):
+        solve_membership(0.2, 1.0, lam, 0.5)
 
 
 def test_zero_choice_is_justified_by_the_threshold_rule():
