@@ -14,6 +14,8 @@ clusters and merge duplicates once, at the end of the run.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -30,13 +32,13 @@ from .core import (
     squared_distances,
 )
 from .fcm import eta_init_sapcm, gamma_init_pcm, run_fcm
-from .metrics import MetricReport, mean_distance, rand_measure, success_rate
+from .metrics import mean_distance, rand_measure, success_rate
 from .solver import compute_lambda, update_memberships
 
 _ETA_FLOOR = 1e-9
 _DUPLICATE_RADIUS_FACTOR = 1.5
 
-_ALGORITHMS = ("pcm", "spcm", "sapcm", "apcm")
+ALGORITHMS = ("pcm", "spcm", "sapcm", "apcm")
 _DEFAULT_K = {"pcm": 0.0, "spcm": 0.9, "sapcm": 0.1, "apcm": 0.0}
 
 
@@ -56,8 +58,21 @@ class AlgoConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.algorithm not in _ALGORITHMS:
+        if self.algorithm not in ALGORITHMS:
             raise ConfigurationError(f"unknown algorithm {self.algorithm!r}")
+        for name in ("m_ini", "max_iter", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        for name in ("alpha", "K", "p", "B", "theta_tol"):
+            value = getattr(self, name)
+            if value is None and name in ("alpha", "K"):
+                continue
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be nonnegative")
         if self.m_ini < 1:
             raise ConfigurationError("m_ini must be a positive integer")
         if self.algorithm in ("pcm", "apcm"):
@@ -190,7 +205,7 @@ def _metrics_for(data: DataSet, labels: np.ndarray, theta: np.ndarray):
         if data.truth_centers is not None
         else None
     )
-    return MetricReport(rm=rm, sr=sr, sr_per_cluster=sr_pc, md=md).to_dict()
+    return {"rm": rm, "sr": sr, "sr_per_cluster": sr_pc, "md": md}
 
 
 def run(data: DataSet, config: AlgoConfig) -> RunReport:
@@ -213,11 +228,11 @@ def run(data: DataSet, config: AlgoConfig) -> RunReport:
     adaptive = config.algorithm in ("sapcm", "apcm")
     fcm = run_fcm(data, config.m_ini, seed=config.seed)
     if adaptive:
-        eta = eta_init_sapcm(data, fcm)
+        eta = eta_init_sapcm(fcm)
         eta_hat = float(eta.min())
         gamma = eta_hat * eta / config.alpha
     else:
-        gamma = gamma_init_pcm(data, fcm, config.B)
+        gamma = gamma_init_pcm(fcm, config.B)
     model = ClusterModel(
         theta=fcm.theta.copy(), gamma=gamma, p=config.p,
         lam=compute_lambda(float(gamma.min()), config.p, config.K),

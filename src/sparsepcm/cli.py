@@ -15,14 +15,14 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .algorithms import AlgoConfig, run
+from .algorithms import ALGORITHMS, AlgoConfig, run
 from .core import (
     ClusteringError,
     ClusterModel,
@@ -268,7 +268,7 @@ def _build_parser():
         description="Possibilistic clustering runner (classic, sparse, adaptive).",
     )
     ap.add_argument("--config", help="JSON experiment config; flags override it")
-    ap.add_argument("--algo", choices=("pcm", "spcm", "sapcm", "apcm"))
+    ap.add_argument("--algo", choices=ALGORITHMS)
     ap.add_argument("--m-ini", type=int, dest="m_ini")
     ap.add_argument("--alpha", type=float)
     ap.add_argument("--K", type=float, dest="K")
@@ -292,14 +292,21 @@ def _config_from_args(args) -> ExperimentConfig:
         if not cpath.exists():
             raise ConfigurationError(f"config file not found: {cpath}")
         base = json.loads(cpath.read_text())
+        if not isinstance(base, dict):
+            raise ConfigurationError("config must be a JSON object")
         if base.get("schema_version") != SCHEMA_VERSION:
             raise ConfigurationError(
                 f"unsupported schema_version {base.get('schema_version')!r}"
             )
 
-    run_dicts = list(base.get("runs", []))
+    run_dicts = base.get("runs", [])
+    if not isinstance(run_dicts, list) or not all(
+        isinstance(rd, dict) for rd in run_dicts
+    ):
+        raise ConfigurationError("runs must be a list of JSON objects")
     if not run_dicts:
         run_dicts = [{}]
+    known = {f.name for f in fields(AlgoConfig)}
     # flags override every run and the top-level input settings
     overrides = {
         "algorithm": args.algo, "m_ini": args.m_ini, "alpha": args.alpha,
@@ -315,16 +322,14 @@ def _config_from_args(args) -> ExperimentConfig:
             raise ConfigurationError("--algo (or runs[].algorithm) is required")
         if "m_ini" not in merged:
             raise ConfigurationError("--m-ini (or runs[].m_ini) is required")
-        known = {
-            "algorithm", "m_ini", "alpha", "K", "p", "B", "theta_tol",
-            "max_iter", "seed",
-        }
         unknown = set(merged) - known
         if unknown:
             raise ConfigurationError(f"unknown run options: {sorted(unknown)}")
         runs.append(AlgoConfig(**merged))
 
     inp = base.get("input", {})
+    if not isinstance(inp, dict):
+        raise ConfigurationError("input must be a JSON object")
     csv_path = args.input or inp.get("csv")
     generator = args.generator or inp.get("generator")
     fixture = args.fixture or inp.get("fixture")

@@ -127,22 +127,6 @@ class ClusterModel:
         )
 
 
-@dataclass(frozen=True)
-class MembershipSolution:
-    """Trace of one per-entry membership solve.
-
-    u_hat is the interior stationary point of f, root_low/root_high the
-    two roots when they exist, chosen the global minimizer (0 or
-    root_high).
-    """
-
-    u_hat: float
-    f_at_u_hat: float
-    root_low: Optional[float]
-    root_high: Optional[float]
-    chosen: float
-
-
 @dataclass
 class IterationRecord:
     """Snapshot of one outer iteration, kept in RunReport.history.
@@ -167,17 +151,6 @@ class IterationRecord:
             "m": self.m,
             "max_move": self.max_move,
         }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            iteration=d["iteration"],
-            theta=np.asarray(d["theta"], dtype=float),
-            gamma=np.asarray(d["gamma"], dtype=float),
-            lam=d["lambda"],
-            m=d["m"],
-            max_move=d["max_move"],
-        )
 
 
 @dataclass
@@ -216,23 +189,6 @@ class RunReport:
             "metrics": self.metrics,
             "history": [rec.to_dict() for rec in self.history],
         }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            algorithm=d["algorithm"],
-            m_ini=d["m_ini"],
-            m_final=d["m_final"],
-            iterations=d["iterations"],
-            wall_time=d["wall_time"],
-            theta_final=np.asarray(d["theta_final"], dtype=float),
-            gamma_final=np.asarray(d["gamma_final"], dtype=float),
-            lam_final=d["lam_final"],
-            labels_final=np.asarray(d["labels_final"], dtype=int),
-            seed=d["seed"],
-            metrics=d["metrics"],
-            history=[IterationRecord.from_dict(r) for r in d.get("history", [])],
-        )
 
 
 def squared_distances(data: DataSet, theta: np.ndarray) -> np.ndarray:

@@ -25,13 +25,6 @@ class Component:
     covariance: tuple          # l x l, symmetric positive definite
     count: int
 
-    def to_dict(self):
-        return {
-            "mean": list(self.mean),
-            "covariance": [list(row) for row in self.covariance],
-            "count": self.count,
-        }
-
 
 @dataclass(frozen=True)
 class MixtureSpec:
@@ -39,16 +32,6 @@ class MixtureSpec:
     noise_count: int = 0
     noise_box: Optional[tuple] = None   # ((low...), (high...))
     seed: int = 0
-
-    def to_dict(self):
-        return {
-            "components": [c.to_dict() for c in self.components],
-            "noise_count": self.noise_count,
-            "noise_box": None if self.noise_box is None else [
-                list(self.noise_box[0]), list(self.noise_box[1])
-            ],
-            "seed": self.seed,
-        }
 
     @classmethod
     def from_dict(cls, d):

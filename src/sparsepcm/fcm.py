@@ -25,6 +25,7 @@ _DENOM_FLOOR = 1e-12
 class FcmResult:
     theta: np.ndarray       # m x l final representatives
     u_fcm: np.ndarray       # N x m row-stochastic memberships
+    d: np.ndarray           # N x m squared distances to theta
     iterations: int
 
 
@@ -34,24 +35,23 @@ def _seed_representatives(data: DataSet, m: int, seed: int) -> np.ndarray:
     return data.points[idx].copy()
 
 
-def _fcm_memberships(d: np.ndarray, fuzzifier: float) -> np.ndarray:
-    """Row-stochastic memberships from squared distances.
+def _fcm_memberships(d: np.ndarray) -> np.ndarray:
+    """Row-stochastic memberships for fuzzifier 2 from squared distances.
 
     Rows containing a zero distance split their mass equally over the
-    coincident clusters. Raises NumericalError when the weights
-    (1/d)**(1/(fuzzifier-1)) of a row without a zero distance leave
-    float range, as they do for subnormal distances.
+    coincident clusters. Raises NumericalError when the weights 1/d of a
+    row without a zero distance leave float range, as they do for
+    subnormal distances.
     """
-    expo = 1.0 / (fuzzifier - 1.0)
     zero_rows = (d == 0.0).any(axis=1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        inv = (1.0 / d) ** expo
+        inv = 1.0 / d
         total = inv.sum(axis=1)
         u = inv / total[:, None]
     bad = ~zero_rows & ~(np.isfinite(total) & (total > 0.0))
     if bad.any():
         raise NumericalError(
-            f"FCM membership weights (1/d)**{expo:g} leave float64 range "
+            f"FCM membership weights 1/d leave float64 range "
             f"at squared distances down to {d[bad].min():.3g}"
         )
     if zero_rows.any():
@@ -60,25 +60,22 @@ def _fcm_memberships(d: np.ndarray, fuzzifier: float) -> np.ndarray:
     return u
 
 
-def run_fcm(data: DataSet, m: int, fuzzifier: float = 2.0, seed: int = 0,
-            tol: float = 1e-6, max_iter: int = 300) -> FcmResult:
-    """Standard FCM on squared Euclidean distances.
+def run_fcm(data: DataSet, m: int, seed: int = 0, tol: float = 1e-6,
+            max_iter: int = 300) -> FcmResult:
+    """Standard FCM with fuzzifier 2 on squared Euclidean distances.
 
     Representatives start at m distinct data points drawn by the seeded
     generator; iteration stops when no representative moves more than tol.
     """
     if not 1 <= m <= data.n_points:
         raise ConfigurationError(f"m={m} must satisfy 1 <= m <= N={data.n_points}")
-    if fuzzifier <= 1.0:
-        raise ConfigurationError("fuzzifier must be > 1")
     x = data.points
     theta = _seed_representatives(data, m, seed)
-    u = None
     it = 0
     for it in range(1, max_iter + 1):
         d = squared_distances(data, theta)
-        u = _fcm_memberships(d, fuzzifier)
-        w = u ** fuzzifier
+        u = _fcm_memberships(d)
+        w = u * u
         denom = w.sum(axis=0)
         if np.any(denom < _DENOM_FLOOR):
             raise DegenerateClusterError("FCM cluster lost all membership mass")
@@ -88,27 +85,26 @@ def run_fcm(data: DataSet, m: int, fuzzifier: float = 2.0, seed: int = 0,
         if move < tol:
             break
     # memberships consistent with the final representatives
-    u = _fcm_memberships(squared_distances(data, theta), fuzzifier)
-    return FcmResult(theta=theta, u_fcm=u, iterations=it)
+    d = squared_distances(data, theta)
+    return FcmResult(theta=theta, u_fcm=_fcm_memberships(d), d=d, iterations=it)
 
 
-def gamma_init_pcm(data: DataSet, fcm: FcmResult, B: float = 1.0) -> np.ndarray:
+def gamma_init_pcm(fcm: FcmResult, B: float = 1.0) -> np.ndarray:
     """Per-cluster influence scale: B times the FCM-weighted mean squared distance."""
     if B <= 0:
         raise ConfigurationError("B must be positive")
-    d = squared_distances(data, fcm.theta)
     denom = fcm.u_fcm.sum(axis=0)
     if np.any(denom < _DENOM_FLOOR):
         raise DegenerateClusterError("zero membership column in FCM result")
-    gamma = B * (fcm.u_fcm * d).sum(axis=0) / denom
+    gamma = B * (fcm.u_fcm * fcm.d).sum(axis=0) / denom
     if np.any(gamma <= 0):
         raise DegenerateClusterError("nonpositive influence scale; cluster has no spread")
     return gamma
 
 
-def eta_init_sapcm(data: DataSet, fcm: FcmResult) -> np.ndarray:
+def eta_init_sapcm(fcm: FcmResult) -> np.ndarray:
     """FCM-weighted mean of plain (unsquared) distances per cluster."""
-    d = np.sqrt(squared_distances(data, fcm.theta))
+    d = np.sqrt(fcm.d)
     denom = fcm.u_fcm.sum(axis=0)
     if np.any(denom < _DENOM_FLOOR):
         raise DegenerateClusterError("zero membership column in FCM result")

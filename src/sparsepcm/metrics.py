@@ -11,27 +11,8 @@ separately (zero-label fraction, m_final, MD).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    rm: float
-    sr: float
-    sr_per_cluster: list
-    md: Optional[float] = None
-
-    def to_dict(self):
-        return {
-            "rm": self.rm,
-            "sr": self.sr,
-            "sr_per_cluster": list(self.sr_per_cluster),
-            "md": self.md,
-        }
 
 
 def _check_pair(pred, truth):

@@ -43,6 +43,13 @@ def test_config_validation():
         AlgoConfig("spcm", 3, p=0.0)
     with pytest.raises(ConfigurationError):
         AlgoConfig("sapcm", 3)  # alpha required for the adaptive modes
+    for bad in [
+        dict(m_ini=2.5), dict(m_ini="2"), dict(m_ini=True), dict(max_iter=3.5),
+        dict(seed=-1), dict(seed=1.0), dict(alpha="1"), dict(p=None),
+        dict(theta_tol=float("nan")), dict(B=float("inf")), dict(K=True),
+    ]:
+        with pytest.raises(ConfigurationError):
+            AlgoConfig(**{"algorithm": "sapcm", "m_ini": 3, "alpha": 1.0, **bad})
 
 
 def test_config_k_defaults():
@@ -288,7 +295,7 @@ def test_first_iteration_snapshots_match_reference(tiny_two_cluster_set):
     data = tiny_two_cluster_set
     fcm = run_fcm(data, 2, seed=0)
     order = np.argsort(fcm.theta[:, 0])
-    gamma = gamma_init_pcm(data, fcm)[order]
+    gamma = gamma_init_pcm(fcm)[order]
     theta = fcm.theta[order]
     d = squared_distances(data, theta)
 

@@ -4,7 +4,6 @@ import json
 import numpy as np
 import pytest
 
-from sparsepcm import RunReport
 from sparsepcm.cli import (
     CsvFormatError,
     iris_path,
@@ -80,24 +79,24 @@ def test_main_end_to_end(tmp_path, capsys):
     doc = json.loads((out / "report.json").read_text())
     assert doc["schema_version"] == 1
     assert doc["failures"] == []
-    report = RunReport.from_dict(doc["reports"][0])
-    assert report.m_final == 2
+    report = doc["reports"][0]
+    assert report["m_final"] == 2
 
     run_dir = out / "run_00_spcm"
     with (run_dir / "memberships.csv").open() as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == [f"u_{j + 1}" for j in range(report.m_final)]
+    assert rows[0] == [f"u_{j + 1}" for j in range(report["m_final"])]
     assert len(rows) - 1 == 160
     # the exported memberships are the ones the final labels came from
     u = np.array(rows[1:], dtype=float)
     expect = np.where(u.max(axis=1) > 0.0, u.argmax(axis=1) + 1, 0)
-    np.testing.assert_array_equal(expect, report.labels_final)
+    np.testing.assert_array_equal(expect, report["labels_final"])
     with (run_dir / "theta.csv").open() as fh:
         theta_rows = list(csv.reader(fh))
-    assert len(theta_rows) - 1 == report.m_final
+    assert len(theta_rows) - 1 == report["m_final"]
 
     svg = (run_dir / "plot.svg").read_text()
-    assert svg.count("<circle") == report.m_final
+    assert svg.count("<circle") == report["m_final"]
 
 
 def test_main_fixture_input(tmp_path):
@@ -211,6 +210,26 @@ def test_exit_code_2_on_bad_configuration(tmp_path, capsys):
     assert main([
         "--algo", "pcm", "--m-ini", "0", "--input", str(data_csv),
     ]) == 2
+    # wrongly typed or shaped config documents
+    base = {"schema_version": 1, "input": {"csv": str(data_csv)},
+            "output_dir": str(tmp_path / "o")}
+    ok_run = {"algorithm": "pcm", "m_ini": 2}
+    bad_docs = [
+        [ok_run],
+        {**base, "runs": ok_run},
+        {**base, "runs": ["pcm"]},
+        {**base, "runs": [ok_run], "input": [str(data_csv)]},
+        {**base, "runs": [{**ok_run, "m_ini": 2.5}]},
+        {**base, "runs": [{**ok_run, "m_ini": "2"}]},
+        {**base, "runs": [{**ok_run, "max_iter": 3.5}]},
+        {**base, "runs": [{**ok_run, "seed": -1}]},
+        {**base, "runs": [{"algorithm": "apcm", "m_ini": 2, "alpha": "1"}]},
+        {**base, "runs": [{**ok_run, "theta_tol": float("nan")}]},
+    ]
+    cfg = tmp_path / "bad.json"
+    for doc in bad_docs:
+        cfg.write_text(json.dumps(doc))
+        assert main(["--config", str(cfg)]) == 2, doc
     capsys.readouterr()
 
 

@@ -66,7 +66,16 @@ def test_spec_round_trips_through_dict():
         noise_box=((0.0, 0.0), (1.0, 1.0)),
         seed=99,
     )
-    back = MixtureSpec.from_dict(spec.to_dict())
+    # the JSON form the CLI reads generator specs in
+    doc = {
+        "components": [
+            {"mean": [1.0, 2.0], "covariance": [[2.0, 0.1], [0.1, 1.0]], "count": 7},
+        ],
+        "noise_count": 3,
+        "noise_box": [[0.0, 0.0], [1.0, 1.0]],
+        "seed": 99,
+    }
+    back = MixtureSpec.from_dict(doc)
     assert back == spec
     np.testing.assert_array_equal(generate(back).points, generate(spec).points)
 

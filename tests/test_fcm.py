@@ -41,8 +41,6 @@ def test_fcm_rejects_bad_arguments():
         run_fcm(data, 0)
     with pytest.raises(ConfigurationError):
         run_fcm(data, 201)
-    with pytest.raises(ConfigurationError):
-        run_fcm(data, 2, fuzzifier=1.0)
 
 
 def test_gamma_init_reference_values(tiny_two_cluster_set):
@@ -52,7 +50,7 @@ def test_gamma_init_reference_values(tiny_two_cluster_set):
     (left and right group respectively).
     """
     res = run_fcm(tiny_two_cluster_set, 2, seed=0)
-    gamma = gamma_init_pcm(tiny_two_cluster_set, res)
+    gamma = gamma_init_pcm(res)
     order = np.argsort(res.theta[:, 0])
     assert gamma[order][0] == pytest.approx(0.6147, abs=5e-4)
     assert gamma[order][1] == pytest.approx(1.2678, abs=5e-4)
@@ -60,17 +58,17 @@ def test_gamma_init_reference_values(tiny_two_cluster_set):
 
 def test_gamma_init_scales_with_b(tiny_two_cluster_set):
     res = run_fcm(tiny_two_cluster_set, 2, seed=0)
-    g1 = gamma_init_pcm(tiny_two_cluster_set, res, B=1.0)
-    g2 = gamma_init_pcm(tiny_two_cluster_set, res, B=2.0)
+    g1 = gamma_init_pcm(res, B=1.0)
+    g2 = gamma_init_pcm(res, B=2.0)
     np.testing.assert_allclose(g2, 2.0 * g1, rtol=1e-12)
     with pytest.raises(ConfigurationError):
-        gamma_init_pcm(tiny_two_cluster_set, res, B=0.0)
+        gamma_init_pcm(res, B=0.0)
 
 
 def test_eta_init_uses_unsquared_distances(tiny_two_cluster_set):
     res = run_fcm(tiny_two_cluster_set, 2, seed=0)
-    eta = eta_init_sapcm(tiny_two_cluster_set, res)
-    gamma = gamma_init_pcm(tiny_two_cluster_set, res)
+    eta = eta_init_sapcm(res)
+    gamma = gamma_init_pcm(res)
     assert (eta > 0).all()
     # mean |d| and mean d^2 agree only for constant distances; on this
     # set the root of the squared average strictly exceeds the average
@@ -81,5 +79,5 @@ def test_degenerate_data_raises():
     pts = np.ones((5, 2))
     with pytest.raises(DegenerateClusterError):
         res = run_fcm(DataSet(points=pts), 2, seed=0)
-        gamma_init_pcm(DataSet(points=pts), res)
+        gamma_init_pcm(res)
 

