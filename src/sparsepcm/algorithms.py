@@ -100,60 +100,41 @@ def update_theta(u: np.ndarray, data: DataSet, theta_prev: np.ndarray) -> np.nda
     return theta
 
 
-def assign_labels(u: np.ndarray, points: Optional[np.ndarray] = None):
+def assign_labels(u: np.ndarray) -> np.ndarray:
     """Hard labels from a membership matrix.
 
-    Returns (labels, n, mu): labels[i] is 1 + argmax of row i when the
-    max is positive, else 0 (no compatible cluster); ties go to the
-    lowest cluster index. n are the per-cluster point counts. mu holds
-    the coordinate means of each cluster's points when the coordinates
-    are supplied (rows of NaN for empty clusters), else None.
+    labels[i] is 1 + argmax of row i when the max is positive, else 0
+    (no compatible cluster); ties go to the lowest cluster index.
     """
-    n_pts, m = u.shape
     best = u.argmax(axis=1)
-    labels = np.where(u[np.arange(n_pts), best] > 0.0, best + 1, 0)
-    n = np.bincount(labels, minlength=m + 1)[1:]
-    mu = None
-    if points is not None:
-        mu = np.full((m, points.shape[1]), np.nan)
-        for j in range(m):
-            if n[j] > 0:
-                mu[j] = points[labels == j + 1].mean(axis=0)
-    return labels, n, mu
+    return np.where(u[np.arange(u.shape[0]), best] > 0.0, best + 1, 0)
 
 
-def eliminate_clusters(model: ClusterModel, labels, n, mu):
-    """Drop clusters that appear in no label; renumber everything else.
+def eliminate_clusters(model: ClusterModel, labels: np.ndarray, keep: np.ndarray):
+    """Drop the clusters not flagged in keep; renumber the labels of the rest.
 
-    Takes the (labels, n, mu) of assign_labels and returns
-    (model', labels', n', mu', removed_indices) restricted to the
-    renumbered survivors.
+    Returns (model', labels', removed_indices). Points labeled with a
+    dropped cluster get label 0.
     """
-    keep = n > 0
-    if not keep.any():
-        raise DegenerateRunError(
-            "every cluster was eliminated; no point has a compatible cluster"
-        )
     removed = [int(j) for j in np.flatnonzero(~keep)]
     # old cluster id -> new contiguous id (0 stays 0)
     remap = np.zeros(model.m + 1, dtype=int)
     remap[1:][keep] = np.arange(1, int(keep.sum()) + 1)
-    return model.select(keep), remap[labels], n[keep], mu[keep], removed
+    return model.select(keep), remap[labels], removed
 
 
-def adapt_eta(data: DataSet, labels, n, mu) -> np.ndarray:
+def adapt_eta(data: DataSet, labels: np.ndarray, m: int) -> np.ndarray:
     """Mean distance of each cluster's most-compatible points to their mean.
 
-    Deviations are measured from the label-group mean mu_j, not from the
-    representative. Values below the positivity floor are clamped so the
-    downstream scale parameters stay positive.
+    Every cluster 1..m must own at least one label. Deviations are
+    measured from the label-group mean, not from the representative.
+    Values below the positivity floor are clamped so the downstream
+    scale parameters stay positive.
     """
-    assert np.all(n > 0), \
-        "adapt_eta requires every surviving cluster to own at least one point"
-    eta = np.empty(len(n))
-    for j in range(len(n)):
+    eta = np.empty(m)
+    for j in range(m):
         pts = data.points[labels == j + 1]
-        eta[j] = np.linalg.norm(pts - mu[j], axis=1).mean()
+        eta[j] = np.linalg.norm(pts - pts.mean(axis=0), axis=1).mean()
     return np.maximum(eta, _ETA_FLOOR)
 
 
@@ -242,8 +223,8 @@ def run(data: DataSet, config: AlgoConfig) -> RunReport:
         u = update_memberships(squared_distances(data, model.theta), model)
         new_theta = update_theta(u, data, model.theta)
         if adaptive:
-            labels, n, mu = assign_labels(u, data.points)
-            live = n > 0
+            labels = assign_labels(u)
+            live = np.bincount(labels, minlength=model.m + 1)[1:] > 0
         else:
             live = u.sum(axis=0) > 0.0
         if not live.any():
@@ -258,15 +239,15 @@ def run(data: DataSet, config: AlgoConfig) -> RunReport:
         ))
         model.theta = new_theta
         if adaptive:
-            model, labels, n, mu, _ = eliminate_clusters(model, labels, n, mu)
-            model.gamma = eta_hat * adapt_eta(data, labels, n, mu) / config.alpha
+            model, labels, _ = eliminate_clusters(model, labels, live)
+            model.gamma = eta_hat * adapt_eta(data, labels, model.m) / config.alpha
             model.lam = compute_lambda(float(model.gamma.min()), config.p, config.K)
         if move < config.theta_tol:
             break
     if not adaptive:
         model = remove_duplicates(model.select(live))
         u = update_memberships(squared_distances(data, model.theta), model)
-        labels, _, _ = assign_labels(u)
+        labels = assign_labels(u)
     wall = time.perf_counter() - t0
     return RunReport(
         algorithm=config.algorithm,

@@ -66,9 +66,9 @@ class ExperimentConfig:
             raise ConfigurationError(
                 "exactly one input source (csv, generator spec, or fixture) required"
             )
-        bad = set(self.emit) - set(_EMIT_CHOICES)
+        bad = [e for e in self.emit if e not in _EMIT_CHOICES]
         if bad:
-            raise ConfigurationError(f"unknown emit targets: {sorted(bad)}")
+            raise ConfigurationError(f"unknown emit targets: {bad}")
         self.output_dir = Path(self.output_dir)
 
 
@@ -330,15 +330,19 @@ def _config_from_args(args) -> ExperimentConfig:
     inp = base.get("input", {})
     if not isinstance(inp, dict):
         raise ConfigurationError("input must be a JSON object")
-    csv_path = args.input or inp.get("csv")
-    generator = args.generator or inp.get("generator")
-    fixture = args.fixture or inp.get("fixture")
-    label_column = args.label_column or inp.get("label_column")
-    emit = base.get("emit", list(_EMIT_CHOICES))
+    csv_path = args.input or _typed(inp, "csv", str, "a file path")
+    generator = args.generator or _typed(inp, "generator", str, "a file path")
+    fixture = args.fixture or _typed(inp, "fixture", str, "a fixture name")
+    label_column = args.label_column or _typed(
+        inp, "label_column", (str, int), "a column name or index"
+    )
+    emit = _typed(base, "emit", list, "a list of names", list(_EMIT_CHOICES))
     if args.emit:
         emit = [e.strip() for e in args.emit.split(",") if e.strip()]
-    out = args.out or base.get("output_dir", "out")
-    seed0 = runs[0].seed if runs else 0
+    out = args.out or _typed(base, "output_dir", str, "a directory path", "out")
+    fixture_seed = _typed(base, "fixture_seed", int, "a nonnegative integer", runs[0].seed)
+    if fixture_seed < 0:
+        raise ConfigurationError(f"fixture_seed must be nonnegative, got {fixture_seed}")
     return ExperimentConfig(
         runs=runs,
         output_dir=Path(out),
@@ -346,9 +350,18 @@ def _config_from_args(args) -> ExperimentConfig:
         label_column=label_column,
         generator_path=None if generator is None else Path(generator),
         fixture=fixture,
-        fixture_seed=base.get("fixture_seed", seed0),
+        fixture_seed=fixture_seed,
         emit=tuple(emit),
     )
+
+
+def _typed(doc, key, kinds, what, default=None):
+    """doc[key], or default when absent; a value not of kinds (a bool never
+    counts as an int) raises ConfigurationError naming the key."""
+    value = doc.get(key, default)
+    if value is not default and (isinstance(value, bool) or not isinstance(value, kinds)):
+        raise ConfigurationError(f"{key} must be {what}, got {value!r}")
+    return value
 
 
 def main(argv=None) -> int:
@@ -360,7 +373,7 @@ def main(argv=None) -> int:
         return 2
     try:
         reports = run_experiment(config)
-    except ConfigurationError as exc:
+    except (ConfigurationError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ClusteringError as exc:

@@ -35,21 +35,33 @@ class MixtureSpec:
 
     @classmethod
     def from_dict(cls, d):
+        """The spec from its JSON form; a missing or malformed value raises
+        ConfigurationError naming its key."""
         comps = tuple(
             Component(
-                mean=tuple(c["mean"]),
-                covariance=tuple(tuple(row) for row in c["covariance"]),
-                count=int(c["count"]),
+                mean=_spec_field(c, "mean", tuple),
+                covariance=_spec_field(c, "covariance", lambda rows: tuple(map(tuple, rows))),
+                count=_spec_field(c, "count", int),
             )
-            for c in d["components"]
+            for c in _spec_field(d, "components", list)
         )
-        box = d.get("noise_box")
+        box = _spec_field(d, "noise_box", lambda b: (tuple(b[0]), tuple(b[1])), None)
         return cls(
             components=comps,
-            noise_count=int(d.get("noise_count", 0)),
-            noise_box=None if box is None else (tuple(box[0]), tuple(box[1])),
-            seed=int(d.get("seed", 0)),
+            noise_count=_spec_field(d, "noise_count", int, 0),
+            noise_box=box,
+            seed=_spec_field(d, "seed", int, 0),
         )
+
+
+def _spec_field(doc, key, convert, *default):
+    """convert(doc[key]); a default, when given, stands in for an absent or null value."""
+    try:
+        if default and doc.get(key) is None:
+            return default[0]
+        return convert(doc[key])
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError):
+        raise ConfigurationError(f"generator spec: missing or malformed {key!r}") from None
 
 
 def _iso(var, dim):

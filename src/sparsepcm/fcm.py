@@ -89,27 +89,25 @@ def run_fcm(data: DataSet, m: int, seed: int = 0, tol: float = 1e-6,
     return FcmResult(theta=theta, u_fcm=_fcm_memberships(d), d=d, iterations=it)
 
 
+def _fcm_weighted_mean(fcm: FcmResult, values: np.ndarray) -> np.ndarray:
+    """Per-cluster mean of an N x m matrix of distances, weighted by the
+    FCM memberships; every cluster must carry membership mass and spread."""
+    denom = fcm.u_fcm.sum(axis=0)
+    if np.any(denom < _DENOM_FLOOR):
+        raise DegenerateClusterError("zero membership column in FCM result")
+    mean = (fcm.u_fcm * values).sum(axis=0) / denom
+    if np.any(mean <= 0):
+        raise DegenerateClusterError("zero mean distance; cluster has no spread")
+    return mean
+
+
 def gamma_init_pcm(fcm: FcmResult, B: float = 1.0) -> np.ndarray:
     """Per-cluster influence scale: B times the FCM-weighted mean squared distance."""
     if B <= 0:
         raise ConfigurationError("B must be positive")
-    denom = fcm.u_fcm.sum(axis=0)
-    if np.any(denom < _DENOM_FLOOR):
-        raise DegenerateClusterError("zero membership column in FCM result")
-    gamma = B * (fcm.u_fcm * fcm.d).sum(axis=0) / denom
-    if np.any(gamma <= 0):
-        raise DegenerateClusterError("nonpositive influence scale; cluster has no spread")
-    return gamma
+    return B * _fcm_weighted_mean(fcm, fcm.d)
 
 
 def eta_init_sapcm(fcm: FcmResult) -> np.ndarray:
     """FCM-weighted mean of plain (unsquared) distances per cluster."""
-    d = np.sqrt(fcm.d)
-    denom = fcm.u_fcm.sum(axis=0)
-    if np.any(denom < _DENOM_FLOOR):
-        raise DegenerateClusterError("zero membership column in FCM result")
-    eta = (fcm.u_fcm * d).sum(axis=0) / denom
-    if np.any(eta <= 0):
-        raise DegenerateClusterError("zero mean deviation; cluster has no spread")
-    return eta
-
+    return _fcm_weighted_mean(fcm, np.sqrt(fcm.d))

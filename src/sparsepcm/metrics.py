@@ -25,12 +25,17 @@ def _check_pair(pred, truth):
     return pred, truth
 
 
-def _contingency(pred, truth):
-    pred_ids, pi = np.unique(pred, return_inverse=True)
-    truth_ids, ti = np.unique(truth, return_inverse=True)
-    table = np.zeros((truth_ids.size, pred_ids.size), dtype=np.int64)
-    np.add.at(table, (ti, pi), 1)
-    return table, pred_ids
+def _confusion(pred, truth, m_true):
+    """Counts of (true class, predicted cluster) over the assigned points.
+
+    Row c is class c + 1; the columns follow the sorted distinct positive
+    predicted labels. Points with predicted label 0 are left out.
+    """
+    keep = pred > 0
+    pred_ids, col = np.unique(pred[keep], return_inverse=True)
+    table = np.zeros((m_true, pred_ids.size), dtype=np.int64)
+    np.add.at(table, (truth[keep] - 1, col), 1)
+    return table
 
 
 def rand_measure(pred, truth) -> float:
@@ -40,15 +45,12 @@ def rand_measure(pred, truth) -> float:
     0.0 when fewer than two assigned points remain (no pairs exist).
     """
     pred, truth = _check_pair(pred, truth)
-    keep = pred > 0
-    pred, truth = pred[keep], truth[keep]
-    n = len(pred)
+    table = _confusion(pred, truth, int(truth.max()))
+    n = int(table.sum())
     if n < 2:
         return 0.0
-    table, _ = _contingency(pred, truth)
 
     def pairs(x):
-        x = x.astype(np.int64)
         return (x * (x - 1) // 2).sum()
 
     total = n * (n - 1) // 2
@@ -74,21 +76,14 @@ def success_rate(pred, truth, m_true: int):
         raise ValueError("m_true must be >= 1")
     if truth.max() > m_true:
         raise ValueError("truth label exceeds m_true")
-    assigned = pred > 0
-    n = int(assigned.sum())
-    class_sizes = np.bincount(truth[assigned], minlength=m_true + 1)[1:]
-    pred_ids = np.unique(pred[assigned])
-    if pred_ids.size == 0:
+    conf = _confusion(pred, truth, m_true)
+    n = int(conf.sum())
+    if n == 0:
         return 0.0, [0.0] * m_true
-    conf = np.zeros((m_true, pred_ids.size), dtype=np.int64)
-    np.add.at(
-        conf,
-        (truth[assigned] - 1, np.searchsorted(pred_ids, pred[assigned])),
-        1,
-    )
     rows, cols = linear_sum_assignment(conf, maximize=True)
     correct_per_class = np.zeros(m_true, dtype=np.int64)
     correct_per_class[rows] = conf[rows, cols]
+    class_sizes = conf.sum(axis=1)
     sr = 100.0 * correct_per_class.sum() / n
     sr_pc = [
         100.0 * correct_per_class[c] / class_sizes[c] if class_sizes[c] else 0.0

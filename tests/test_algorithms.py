@@ -71,22 +71,11 @@ def test_assign_labels_argmax_and_zeros():
         [0.0, 0.0],
         [0.5, 0.5],
     ])
-    labels, n, mu = assign_labels(u)
+    labels = assign_labels(u)
     assert labels.tolist() == [1, 2, 0, 1]  # ties go to the lowest index
-    assert n.tolist() == [2, 1]
-    assert mu is None
-
-
-def test_assign_labels_means():
-    pts = np.array([[0.0, 0.0], [2.0, 0.0], [10.0, 10.0]])
-    u = np.array([[1.0, 0.0], [0.8, 0.0], [0.0, 0.9]])
-    labels, n, mu = assign_labels(u, pts)
-    np.testing.assert_allclose(mu[0], [1.0, 0.0])
-    np.testing.assert_allclose(mu[1], [10.0, 10.0])
 
 
 def test_eliminate_clusters_renumbers():
-    data = DataSet(points=np.array([[0.0], [0.1], [5.0]]))
     model = ClusterModel(
         theta=np.array([[0.0], [2.5], [5.0]]),
         gamma=np.array([1.0, 1.0, 1.0]),
@@ -98,30 +87,33 @@ def test_eliminate_clusters_renumbers():
         [0.8, 0.0, 0.0],
         [0.0, 0.0, 0.7],
     ])
-    labels, n, mu = assign_labels(u, data.points)
-    new_model, labels, n, mu, removed = eliminate_clusters(model, labels, n, mu)
+    labels = assign_labels(u)
+    keep = np.bincount(labels, minlength=model.m + 1)[1:] > 0
+    new_model, labels, removed = eliminate_clusters(model, labels, keep)
     assert removed == [1]
     assert new_model.m == 2
     assert labels.tolist() == [1, 1, 2]
     np.testing.assert_allclose(new_model.theta[:, 0], [0.0, 5.0])
 
 
-def test_eliminate_all_clusters_raises():
-    data = DataSet(points=np.array([[0.0], [1.0]]))
-    model = ClusterModel(theta=np.array([[9.0]]), gamma=np.array([1.0]), lam=0.0, p=0.5)
-    u = np.zeros((2, 1))
-    labels, n, mu = assign_labels(u, data.points)
-    with pytest.raises(DegenerateRunError):
-        eliminate_clusters(model, labels, n, mu)
-
-
 def test_adapt_eta_mean_absolute_deviation():
     data = DataSet(points=np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 3.0]]))
     labels = np.array([1, 1, 2])
-    mu = np.array([[1.0, 0.0], [1.0, 3.0]])
-    eta = adapt_eta(data, labels, np.array([2, 1]), mu)
+    # deviations are measured from each label group's own mean, here
+    # (1, 0) and (1, 3), not from any representative
+    eta = adapt_eta(data, labels, 2)
     assert eta[0] == pytest.approx(1.0)       # two points, one unit away each
     assert eta[1] == pytest.approx(1e-9)      # singleton clamps to the floor
+
+
+@pytest.mark.parametrize("algorithm", ["pcm", "spcm", "sapcm", "apcm"])
+def test_run_raises_when_no_cluster_is_left(algorithm, monkeypatch):
+    # memberships that are all zero leave no cluster for any point
+    monkeypatch.setattr(
+        "sparsepcm.algorithms.update_memberships", lambda d, model: np.zeros_like(d)
+    )
+    with pytest.raises(DegenerateRunError, match="no point has a compatible cluster"):
+        run(_blob(n=40), AlgoConfig(algorithm, 3, alpha=1.0, seed=0))
 
 
 def test_update_theta_freezes_dead_columns():
@@ -249,8 +241,9 @@ def test_coincident_representatives_larger_scale_wins():
     lam = compute_lambda(float(gamma.min()), 0.5, 0.1)
     model = ClusterModel(theta=theta, gamma=gamma, lam=lam, p=0.5)
     u = update_memberships(squared_distances(data, theta), model)
-    labels, n, mu = assign_labels(u, data.points)
-    new_model, _, _, _, removed = eliminate_clusters(model, labels, n, mu)
+    labels = assign_labels(u)
+    keep = np.bincount(labels, minlength=model.m + 1)[1:] > 0
+    new_model, _, removed = eliminate_clusters(model, labels, keep)
     assert removed == [0]
     assert new_model.m == 1
     assert new_model.gamma[0] == pytest.approx(2.0)

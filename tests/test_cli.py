@@ -231,6 +231,30 @@ def test_exit_code_2_on_bad_configuration(tmp_path, capsys):
         cfg.write_text(json.dumps(doc))
         assert main(["--config", str(cfg)]) == 2, doc
     capsys.readouterr()
+    # malformed values: exit 2 with a message that names the key
+    component = {"mean": [0, 0], "covariance": [[1, 0], [0, 1]], "count": 5}
+    specs = [{"noise_count": 3}, {"components": [{**component, "count": "x"}]}, "{"]
+    gens = []
+    for k, spec in enumerate(specs):
+        gens.append(tmp_path / f"spec{k}.json")
+        gens[-1].write_text(spec if isinstance(spec, str) else json.dumps(spec))
+    fixture = {"fixture": "example1"}
+    named = [
+        ({"emit": 5}, "emit must be a list"),
+        ({"emit": "report"}, "emit must be a list"),
+        ({"output_dir": 5}, "output_dir must be"),
+        ({"input": {"csv": 5}}, "csv must be"),
+        ({"input": fixture, "fixture_seed": "x"}, "fixture_seed must be"),
+        ({"input": fixture, "fixture_seed": -1}, "fixture_seed must be"),
+        ({"input": {"generator": str(gens[0])}}, "'components'"),
+        ({"input": {"generator": str(gens[1])}}, "'count'"),
+        ({"input": {"generator": str(gens[2])}}, "error:"),
+    ]
+    for change, message in named:
+        doc = {**base, "runs": [ok_run], **change}
+        cfg.write_text(json.dumps(doc))
+        assert main(["--config", str(cfg)]) == 2, doc
+        assert message in capsys.readouterr().err, doc
 
 
 def test_exit_code_2_on_missing_files(tmp_path, capsys):
