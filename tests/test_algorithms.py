@@ -75,6 +75,22 @@ def test_assign_labels_argmax_and_zeros():
     assert labels.tolist() == [1, 2, 0, 1]  # ties go to the lowest index
 
 
+def test_assign_labels_means():
+    # the label-group means are taken inside adapt_eta: (1, 0) for the
+    # first group and (10, 10) for the singleton
+    pts = np.array([[0.0, 0.0], [2.0, 0.0], [10.0, 10.0]])
+    u = np.array([[1.0, 0.0], [0.8, 0.0], [0.0, 0.9]])
+    labels = assign_labels(u)
+    assert labels.tolist() == [1, 1, 2]
+    eta = adapt_eta(DataSet(points=pts), labels, 2)
+    assert eta[0] == pytest.approx(1.0)
+    assert eta[1] == pytest.approx(1e-9)
+    # a three-point group, measured from its mean (1, 1)
+    pts = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])
+    eta = adapt_eta(DataSet(points=pts), np.array([1, 1, 1]), 1)
+    assert eta[0] == pytest.approx((np.sqrt(2.0) + 2.0 * np.sqrt(5.0)) / 3.0)
+
+
 def test_eliminate_clusters_renumbers():
     model = ClusterModel(
         theta=np.array([[0.0], [2.5], [5.0]]),
