@@ -39,7 +39,7 @@ _ETA_FLOOR = 1e-9
 _DUPLICATE_RADIUS_FACTOR = 1.5
 
 ALGORITHMS = ("pcm", "spcm", "sapcm", "apcm")
-_DEFAULT_K = {"pcm": 0.0, "spcm": 0.9, "sapcm": 0.1, "apcm": 0.0}
+_DEFAULT_K = {"spcm": 0.9, "sapcm": 0.1}
 
 
 @dataclass
@@ -52,7 +52,6 @@ class AlgoConfig:
     alpha: Optional[float] = None
     K: Optional[float] = None
     p: float = 0.5
-    B: float = 1.0
     theta_tol: float = 1e-6
     max_iter: int = 500
     seed: int = 0
@@ -64,7 +63,7 @@ class AlgoConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-        for name in ("alpha", "K", "p", "B", "theta_tol"):
+        for name in ("alpha", "K", "p", "theta_tol"):
             value = getattr(self, name)
             if value is None and name in ("alpha", "K"):
                 continue
@@ -86,8 +85,8 @@ class AlgoConfig:
                 raise ConfigurationError(f"{self.algorithm} needs alpha > 0")
         if not 0.0 < self.p < 1.0:
             raise ConfigurationError("p must lie in (0,1)")
-        if self.B <= 0 or self.theta_tol <= 0 or self.max_iter < 1:
-            raise ConfigurationError("B, theta_tol, max_iter must be positive")
+        if self.theta_tol <= 0 or self.max_iter < 1:
+            raise ConfigurationError("theta_tol, max_iter must be positive")
 
 
 def update_theta(u: np.ndarray, data: DataSet, theta_prev: np.ndarray) -> np.ndarray:
@@ -95,8 +94,7 @@ def update_theta(u: np.ndarray, data: DataSet, theta_prev: np.ndarray) -> np.nda
     colsum = u.sum(axis=0)
     theta = theta_prev.copy()
     live = colsum > 0.0
-    if live.any():
-        theta[live] = (u[:, live].T @ data.points) / colsum[live, None]
+    theta[live] = (u[:, live].T @ data.points) / colsum[live, None]
     return theta
 
 
@@ -213,7 +211,7 @@ def run(data: DataSet, config: AlgoConfig) -> RunReport:
         eta_hat = float(eta.min())
         gamma = eta_hat * eta / config.alpha
     else:
-        gamma = gamma_init_pcm(fcm, config.B)
+        gamma = gamma_init_pcm(fcm)
     model = ClusterModel(
         theta=fcm.theta.copy(), gamma=gamma, p=config.p,
         lam=compute_lambda(float(gamma.min()), config.p, config.K),

@@ -29,6 +29,7 @@ from .core import (
     ConfigurationError,
     DataSet,
     RunReport,
+    json_field,
     squared_distances,
 )
 from .datagen import FIXTURE_NAMES, MixtureSpec, generate, make_fixture
@@ -36,6 +37,8 @@ from .solver import update_memberships
 
 SCHEMA_VERSION = 1
 _EMIT_CHOICES = ("report", "memberships", "plot")
+_PLOT_SIZE = 640
+_PLOT_PAD = 40
 
 
 class CsvFormatError(ConfigurationError):
@@ -53,7 +56,7 @@ class ExperimentConfig:
     generator_path: Optional[Path] = None
     fixture: Optional[str] = None
     fixture_seed: int = 0
-    emit: tuple = ("report", "memberships", "plot")
+    emit: tuple = _EMIT_CHOICES
 
     def __post_init__(self):
         if not self.runs:
@@ -83,24 +86,21 @@ def load_csv(path, label_column=None) -> DataSet:
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"input file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not UTF-8 text: {exc}") from None
     if not rows:
         raise CsvFormatError(f"{path}: empty file")
 
-    def numeric_row(row):
-        try:
-            [float(c) for c in row]
-            return True
-        except ValueError:
-            return False
-
     header = None
-    if not numeric_row(rows[0]):
-        header = [c.strip() for c in rows[0]]
-        rows = rows[1:]
+    try:
+        [float(c) for c in rows[0]]
+    except ValueError:
+        header = [c.strip() for c in rows.pop(0)]
         if not rows:
-            raise CsvFormatError(f"{path}: header but no data rows")
+            raise CsvFormatError(f"{path}: header but no data rows") from None
     width = len(rows[0])
     label_idx = None
     if label_column is not None:
@@ -134,10 +134,8 @@ def load_csv(path, label_column=None) -> DataSet:
     points = np.asarray(feats, dtype=float)
     labels = None
     if label_idx is not None:
-        order = {}
-        for v in raw_labels:
-            order.setdefault(v, len(order) + 1)
-        labels = np.array([order[v] for v in raw_labels], dtype=int)
+        ids = {v: i for i, v in enumerate(dict.fromkeys(raw_labels), start=1)}
+        labels = np.array([ids[v] for v in raw_labels], dtype=int)
     return DataSet(points=points, truth_labels=labels)
 
 
@@ -146,15 +144,20 @@ def iris_path() -> Path:
     return Path(resources.files("sparsepcm").joinpath("data/iris.csv"))
 
 
+def _load_json(path):
+    """The parsed JSON file; one not readable as UTF-8 JSON raises
+    ConfigurationError naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
+
+
 def _resolve_input(config: ExperimentConfig) -> DataSet:
     if config.csv_path is not None:
         return load_csv(config.csv_path, config.label_column)
     if config.generator_path is not None:
-        gp = Path(config.generator_path)
-        if not gp.exists():
-            raise ConfigurationError(f"generator spec not found: {gp}")
-        spec = MixtureSpec.from_dict(json.loads(gp.read_text()))
-        return generate(spec)
+        return generate(MixtureSpec.from_dict(_load_json(config.generator_path)))
     if config.fixture == "iris":
         return load_csv(iris_path(), label_column="species")
     return make_fixture(config.fixture, seed=config.fixture_seed)
@@ -167,7 +170,7 @@ def _write_matrix_csv(path: Path, matrix: np.ndarray, header: list):
         w.writerows(matrix.tolist())
 
 
-def _svg_plot(path: Path, data: DataSet, report: RunReport, size=640, pad=40):
+def _svg_plot(path: Path, data: DataSet, report: RunReport):
     """Scatter of the points (small squares, colored by final label) with
     one circle per representative at radius sqrt(gamma) in data units."""
     pts = data.points
@@ -176,22 +179,22 @@ def _svg_plot(path: Path, data: DataSet, report: RunReport, size=640, pad=40):
     lo = np.minimum(lo, (report.theta_final - radii[:, None]).min(axis=0))
     hi = np.maximum(hi, (report.theta_final + radii[:, None]).max(axis=0))
     span = np.maximum(hi - lo, 1e-12)
-    scale = (size - 2 * pad) / span.max()
+    scale = (_PLOT_SIZE - 2 * _PLOT_PAD) / span.max()
 
     def sx(x):
-        return pad + (x - lo[0]) * scale
+        return _PLOT_PAD + (x - lo[0]) * scale
 
     def sy(y):
         # flip so the y axis points up
-        return size - pad - (y - lo[1]) * scale
+        return _PLOT_SIZE - _PLOT_PAD - (y - lo[1]) * scale
 
     palette = ["#777777", "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
                "#ff7f0e", "#8c564b", "#e377c2", "#17becf", "#bcbd22",
                "#7f7f7f"]
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_PLOT_SIZE}" '
+        f'height="{_PLOT_SIZE}" viewBox="0 0 {_PLOT_SIZE} {_PLOT_SIZE}">',
+        f'<rect width="{_PLOT_SIZE}" height="{_PLOT_SIZE}" fill="white"/>',
     ]
     for (x, y), lab in zip(pts, report.labels_final):
         color = palette[int(lab) % len(palette)]
@@ -288,24 +291,14 @@ def _build_parser():
 def _config_from_args(args) -> ExperimentConfig:
     base = {}
     if args.config:
-        cpath = Path(args.config)
-        if not cpath.exists():
-            raise ConfigurationError(f"config file not found: {cpath}")
-        base = json.loads(cpath.read_text())
-        if not isinstance(base, dict):
-            raise ConfigurationError("config must be a JSON object")
-        if base.get("schema_version") != SCHEMA_VERSION:
-            raise ConfigurationError(
-                f"unsupported schema_version {base.get('schema_version')!r}"
-            )
+        base = _load_json(args.config)
+        version = json_field(base, "schema_version", int, "an integer", where="config")
+        if version != SCHEMA_VERSION:
+            raise ConfigurationError(f"unsupported schema_version {version}")
 
-    run_dicts = base.get("runs", [])
-    if not isinstance(run_dicts, list) or not all(
-        isinstance(rd, dict) for rd in run_dicts
-    ):
-        raise ConfigurationError("runs must be a list of JSON objects")
-    if not run_dicts:
-        run_dicts = [{}]
+    run_dicts = json_field(base, "runs", list, "a list of JSON objects", []) or [{}]
+    if not all(isinstance(rd, dict) for rd in run_dicts):
+        raise ConfigurationError(f"runs must be a list of JSON objects, got {run_dicts!r}")
     known = {f.name for f in fields(AlgoConfig)}
     # flags override every run and the top-level input settings
     overrides = {
@@ -318,31 +311,27 @@ def _config_from_args(args) -> ExperimentConfig:
         for key, val in overrides.items():
             if val is not None:
                 merged[key] = val
-        if "algorithm" not in merged:
-            raise ConfigurationError("--algo (or runs[].algorithm) is required")
-        if "m_ini" not in merged:
-            raise ConfigurationError("--m-ini (or runs[].m_ini) is required")
+        for key, flag in (("algorithm", "--algo"), ("m_ini", "--m-ini")):
+            if key not in merged:
+                raise ConfigurationError(f"{flag} (or runs[].{key}) is required")
         unknown = set(merged) - known
         if unknown:
             raise ConfigurationError(f"unknown run options: {sorted(unknown)}")
         runs.append(AlgoConfig(**merged))
 
-    inp = base.get("input", {})
-    if not isinstance(inp, dict):
-        raise ConfigurationError("input must be a JSON object")
-    csv_path = args.input or _typed(inp, "csv", str, "a file path")
-    generator = args.generator or _typed(inp, "generator", str, "a file path")
-    fixture = args.fixture or _typed(inp, "fixture", str, "a fixture name")
-    label_column = args.label_column or _typed(
-        inp, "label_column", (str, int), "a column name or index"
+    inp = json_field(base, "input", dict, "a JSON object", {})
+    csv_path = args.input or json_field(inp, "csv", str, "a file path", None)
+    generator = args.generator or json_field(inp, "generator", str, "a file path", None)
+    fixture = args.fixture or json_field(inp, "fixture", str, "a fixture name", None)
+    label_column = args.label_column or json_field(
+        inp, "label_column", (str, int), "a column name or nonnegative index", None
     )
-    emit = _typed(base, "emit", list, "a list of names", list(_EMIT_CHOICES))
+    emit = json_field(base, "emit", list, "a list of names", list(_EMIT_CHOICES))
     if args.emit:
         emit = [e.strip() for e in args.emit.split(",") if e.strip()]
-    out = args.out or _typed(base, "output_dir", str, "a directory path", "out")
-    fixture_seed = _typed(base, "fixture_seed", int, "a nonnegative integer", runs[0].seed)
-    if fixture_seed < 0:
-        raise ConfigurationError(f"fixture_seed must be nonnegative, got {fixture_seed}")
+    out = args.out or json_field(base, "output_dir", str, "a directory path", "out")
+    fixture_seed = json_field(
+        base, "fixture_seed", int, "a nonnegative integer", runs[0].seed)
     return ExperimentConfig(
         runs=runs,
         output_dir=Path(out),
@@ -355,33 +344,16 @@ def _config_from_args(args) -> ExperimentConfig:
     )
 
 
-def _typed(doc, key, kinds, what, default=None):
-    """doc[key], or default when absent; a value not of kinds (a bool never
-    counts as an int) raises ConfigurationError naming the key."""
-    value = doc.get(key, default)
-    if value is not default and (isinstance(value, bool) or not isinstance(value, kinds)):
-        raise ConfigurationError(f"{key} must be {what}, got {value!r}")
-    return value
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-    except (ConfigurationError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        reports = run_experiment(config)
-    except (ConfigurationError, json.JSONDecodeError) as exc:
+        reports = run_experiment(_config_from_args(args))
+    except (ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ClusteringError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
     for r in reports:
         line = (
             f"{r.algorithm}: m_ini={r.m_ini} m_final={r.m_final} "

@@ -34,13 +34,36 @@ class NumericalError(ClusteringError):
     """A computation left float range or root finding failed to converge."""
 
 
-def _as_float_matrix(a, name):
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2:
-        raise ConfigurationError(f"{name} must be 2-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+def json_field(doc, key, kinds, what, *default, where=""):
+    """doc[key] of a parsed JSON object, checked to be of kinds (a bool is no
+    number, an integer must be nonnegative); absent or null gives the default,
+    if any. Errors are ConfigurationError naming the key, after where if given."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{where} must be a JSON object, got {doc!r}")
+    value = doc.get(key)
+    if value is None and default:
+        return default[0]
+    if (value is None or isinstance(value, bool) or not isinstance(value, kinds)
+            or isinstance(value, int) and value < 0):
+        name = f"{where} {key!r}" if where else key
+        raise ConfigurationError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def float_array(a, name, ndim=2):
+    """a as an ndim-D float64 array; text, bools, ragged nesting and
+    non-finite values raise ConfigurationError naming it."""
+    try:
+        arr = np.asarray(a)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf" or arr.ndim != ndim:
+        raise ConfigurationError(
+            f"{name} must be a {ndim}-D array of numbers, got {arr.dtype} {arr.shape}"
+        )
+    if not np.isfinite(arr).all():
         raise ConfigurationError(f"{name} contains non-finite values")
-    return arr
+    return arr.astype(float, copy=False)
 
 
 @dataclass(frozen=True)
@@ -57,7 +80,7 @@ class DataSet:
     truth_centers: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        pts = _as_float_matrix(self.points, "points")
+        pts = float_array(self.points, "points")
         if pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ConfigurationError("need at least one point and one feature")
         object.__setattr__(self, "points", pts)
@@ -69,7 +92,7 @@ class DataSet:
                 raise ConfigurationError("truth labels must be >= 0 (0 = noise)")
             object.__setattr__(self, "truth_labels", lab)
         if self.truth_centers is not None:
-            tc = _as_float_matrix(self.truth_centers, "truth_centers")
+            tc = float_array(self.truth_centers, "truth_centers")
             if tc.shape[1] != pts.shape[1]:
                 raise ConfigurationError("truth_centers dimension mismatch")
             if self.truth_labels is not None and self.truth_labels.max() > tc.shape[0]:
@@ -102,7 +125,7 @@ class ClusterModel:
     p: float = 0.5
 
     def __post_init__(self):
-        self.theta = _as_float_matrix(self.theta, "theta")
+        self.theta = float_array(self.theta, "theta")
         self.gamma = np.asarray(self.gamma, dtype=float)
         if self.gamma.shape != (self.theta.shape[0],):
             raise ConfigurationError("gamma length must match theta rows")

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ConfigurationError, DataSet
+from .core import ConfigurationError, DataSet, float_array, json_field
 
 
 @dataclass(frozen=True)
@@ -35,33 +35,27 @@ class MixtureSpec:
 
     @classmethod
     def from_dict(cls, d):
-        """The spec from its JSON form; a missing or malformed value raises
-        ConfigurationError naming its key."""
-        comps = tuple(
-            Component(
-                mean=_spec_field(c, "mean", tuple),
-                covariance=_spec_field(c, "covariance", lambda rows: tuple(map(tuple, rows))),
-                count=_spec_field(c, "count", int),
-            )
-            for c in _spec_field(d, "components", list)
-        )
-        box = _spec_field(d, "noise_box", lambda b: (tuple(b[0]), tuple(b[1])), None)
+        """The spec from its JSON form; a missing or wrongly typed value
+        raises ConfigurationError naming its key."""
+        where, nonneg = "generator spec", "a nonnegative integer"
+        comps = []
+        for k, c in enumerate(json_field(d, "components", list, "a list", where=where), 1):
+            at = f"{where} component {k}"
+            mean = _tuples(json_field(c, "mean", list, "a list of numbers", where=at))
+            cov = _tuples(json_field(c, "covariance", list, "a list of rows", where=at))
+            comps.append(Component(mean, cov, json_field(c, "count", int, nonneg, where=at)))
+        box = json_field(d, "noise_box", list, "[[low...], [high...]]", None, where=where)
         return cls(
-            components=comps,
-            noise_count=_spec_field(d, "noise_count", int, 0),
-            noise_box=box,
-            seed=_spec_field(d, "seed", int, 0),
+            components=tuple(comps),
+            noise_count=json_field(d, "noise_count", int, nonneg, 0, where=where),
+            noise_box=_tuples(box),
+            seed=json_field(d, "seed", int, nonneg, 0, where=where),
         )
 
 
-def _spec_field(doc, key, convert, *default):
-    """convert(doc[key]); a default, when given, stands in for an absent or null value."""
-    try:
-        if default and doc.get(key) is None:
-            return default[0]
-        return convert(doc[key])
-    except (AttributeError, KeyError, IndexError, TypeError, ValueError):
-        raise ConfigurationError(f"generator spec: missing or malformed {key!r}") from None
+def _tuples(value):
+    """value with every nested list turned into a tuple."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
 def _iso(var, dim):
@@ -75,14 +69,20 @@ def generate(spec: MixtureSpec) -> DataSet:
     """Draw the mixture: Gaussian components first (classes 1..k in spec
     order, via Cholesky-transformed standard normals), then uniform noise
     over noise_box (default: bounding box of the clean draw) labeled 0.
+    Component 1's mean sets the dimension of the others and of the box.
     """
+    if min([spec.noise_count] + [c.count for c in spec.components]) < 0:
+        raise ConfigurationError("component and noise counts must be >= 0")
     rng = np.random.default_rng(spec.seed)
-    blocks, labels = [], []
+    blocks, labels, means = [], [], []
     for k, comp in enumerate(spec.components, start=1):
-        mean = np.asarray(comp.mean, dtype=float)
-        cov = np.asarray(comp.covariance, dtype=float)
-        if comp.count < 0:
-            raise ConfigurationError("component counts must be >= 0")
+        mean = float_array(comp.mean, f"component {k} mean", ndim=1)
+        cov = float_array(comp.covariance, f"component {k} covariance")
+        dim = means[0].size if means else mean.size
+        if mean.size != dim or cov.shape != (dim, dim):
+            raise ConfigurationError(f"component {k} needs a length-{dim} mean "
+                                     f"and a {dim}x{dim} covariance")
+        means.append(mean)
         if comp.count == 0:
             continue
         try:
@@ -91,27 +91,33 @@ def generate(spec: MixtureSpec) -> DataSet:
             raise ConfigurationError(
                 f"component {k} covariance is not positive definite"
             ) from exc
-        z = rng.standard_normal((comp.count, mean.size))
+        z = rng.standard_normal((comp.count, dim))
         blocks.append(mean + z @ chol.T)
         labels.append(np.full(comp.count, k))
     if not blocks and spec.noise_count == 0:
         raise ConfigurationError("spec generates no points")
     if spec.noise_count:
         if spec.noise_box is not None:
-            lo = np.asarray(spec.noise_box[0], dtype=float)
-            hi = np.asarray(spec.noise_box[1], dtype=float)
+            box = float_array(spec.noise_box, "noise_box")
+            if box.shape != (2, means[0].size if means else box.shape[1]):
+                raise ConfigurationError(f"noise_box shape {box.shape} is not (2, dimension)")
+            lo, hi = box
         elif blocks:
             clean = np.vstack(blocks)
             lo, hi = clean.min(axis=0), clean.max(axis=0)
         else:
             raise ConfigurationError("noise_box required when no components")
+        with np.errstate(over="ignore"):
+            if not np.all((lo <= hi) & np.isfinite(hi - lo)):
+                raise ConfigurationError(f"noise box from {lo} to {hi} needs low <= high "
+                                         f"and a finite width")
         noise = rng.uniform(lo, hi, size=(spec.noise_count, lo.size))
         blocks.append(noise)
         labels.append(np.zeros(spec.noise_count, dtype=int))
     return DataSet(
         points=np.vstack(blocks),
         truth_labels=np.concatenate(labels).astype(int),
-        truth_centers=np.array([c.mean for c in spec.components], dtype=float),
+        truth_centers=np.array(means) if means else None,
     )
 
 

@@ -19,6 +19,7 @@ from .core import (
 )
 
 _DENOM_FLOOR = 1e-12
+_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -60,12 +61,12 @@ def _fcm_memberships(d: np.ndarray) -> np.ndarray:
     return u
 
 
-def run_fcm(data: DataSet, m: int, seed: int = 0, tol: float = 1e-6,
-            max_iter: int = 300) -> FcmResult:
+def run_fcm(data: DataSet, m: int, seed: int = 0, max_iter: int = 300) -> FcmResult:
     """Standard FCM with fuzzifier 2 on squared Euclidean distances.
 
     Representatives start at m distinct data points drawn by the seeded
-    generator; iteration stops when no representative moves more than tol.
+    generator; iteration stops when no representative moves more than
+    _TOL, an absolute distance in data units.
     """
     if not 1 <= m <= data.n_points:
         raise ConfigurationError(f"m={m} must satisfy 1 <= m <= N={data.n_points}")
@@ -82,7 +83,7 @@ def run_fcm(data: DataSet, m: int, seed: int = 0, tol: float = 1e-6,
         new_theta = (w.T @ x) / denom[:, None]
         move = np.sqrt(((new_theta - theta) ** 2).sum(axis=1)).max()
         theta = new_theta
-        if move < tol:
+        if move < _TOL:
             break
     # memberships consistent with the final representatives
     d = squared_distances(data, theta)
@@ -101,11 +102,9 @@ def _fcm_weighted_mean(fcm: FcmResult, values: np.ndarray) -> np.ndarray:
     return mean
 
 
-def gamma_init_pcm(fcm: FcmResult, B: float = 1.0) -> np.ndarray:
-    """Per-cluster influence scale: B times the FCM-weighted mean squared distance."""
-    if B <= 0:
-        raise ConfigurationError("B must be positive")
-    return B * _fcm_weighted_mean(fcm, fcm.d)
+def gamma_init_pcm(fcm: FcmResult) -> np.ndarray:
+    """Per-cluster influence scale: the FCM-weighted mean squared distance."""
+    return _fcm_weighted_mean(fcm, fcm.d)
 
 
 def eta_init_sapcm(fcm: FcmResult) -> np.ndarray:

@@ -46,7 +46,7 @@ def test_config_validation():
     for bad in [
         dict(m_ini=2.5), dict(m_ini="2"), dict(m_ini=True), dict(max_iter=3.5),
         dict(seed=-1), dict(seed=1.0), dict(alpha="1"), dict(p=None),
-        dict(theta_tol=float("nan")), dict(B=float("inf")), dict(K=True),
+        dict(theta_tol=float("nan")), dict(K=True),
     ]:
         with pytest.raises(ConfigurationError):
             AlgoConfig(**{"algorithm": "sapcm", "m_ini": 3, "alpha": 1.0, **bad})

@@ -59,6 +59,13 @@ def test_load_csv_rejects_ragged_rows(tmp_path):
         load_csv(p)
 
 
+def test_load_csv_rejects_undecodable_bytes(tmp_path):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes(b"caf\xe9,1.0\n2.0,3.0\n")
+    with pytest.raises(CsvFormatError, match="latin1.csv"):
+        load_csv(p)
+
+
 def test_bundled_iris():
     data = load_csv(iris_path(), label_column="species")
     assert data.points.shape == (150, 4)
@@ -234,6 +241,21 @@ def test_exit_code_2_on_bad_configuration(tmp_path, capsys):
     # malformed values: exit 2 with a message that names the key
     component = {"mean": [0, 0], "covariance": [[1, 0], [0, 1]], "count": 5}
     specs = [{"noise_count": 3}, {"components": [{**component, "count": "x"}]}, "{"]
+    # out-of-range or wrongly typed values, and shapes that do not fit
+    spec_named = [
+        ({"seed": -1}, "'seed'"),
+        ({"noise_count": -2}, "'noise_count'"),
+        ({"components": [{**component, "count": 20.7}]}, "'count'"),
+        ({"components": [{**component, "count": "20"}]}, "'count'"),
+        ({"components": [{**component, "count": True}]}, "'count'"),
+        ({"components": [{**component, "mean": [0, 0, 0]}]}, "component 1"),
+        ({"components": [component, {**component, "mean": [1], "covariance": [[1]]}]},
+         "component 2"),
+        ({"noise_count": 3, "noise_box": [[0, 0, 0], [1, 1, 1]]}, "noise_box"),
+        ({"components": [{**component, "mean": "ab"}]}, "'mean'"),
+    ]
+    for change, _ in spec_named:
+        specs.append({"components": [component], **change})
     gens = []
     for k, spec in enumerate(specs):
         gens.append(tmp_path / f"spec{k}.json")
@@ -249,6 +271,9 @@ def test_exit_code_2_on_bad_configuration(tmp_path, capsys):
         ({"input": {"generator": str(gens[0])}}, "'components'"),
         ({"input": {"generator": str(gens[1])}}, "'count'"),
         ({"input": {"generator": str(gens[2])}}, "error:"),
+    ] + [
+        ({"input": {"generator": str(g)}}, message)
+        for g, (_, message) in zip(gens[3:], spec_named)
     ]
     for change, message in named:
         doc = {**base, "runs": [ok_run], **change}
@@ -264,6 +289,14 @@ def test_exit_code_2_on_missing_files(tmp_path, capsys):
     ]) == 2
     assert main(["--config", str(tmp_path / "nope.json")]) == 2
     capsys.readouterr()
+    # a directory as the config, and bytes that are not UTF-8 in each input file
+    undecodable = tmp_path / "latin1.txt"
+    undecodable.write_bytes(b"caf\xe9,1.0\n")
+    for flag, bad in [("--config", tmp_path), ("--config", undecodable),
+                      ("--generator", undecodable), ("--input", undecodable)]:
+        args = ["--algo", "pcm", "--m-ini", "2", flag, str(bad), "--out", str(tmp_path / "o")]
+        assert main(args) == 2, args
+        assert str(bad) in capsys.readouterr().err, args
 
 
 def test_exit_code_1_on_failed_run(tmp_path, capsys):

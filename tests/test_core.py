@@ -26,6 +26,10 @@ def test_dataset_rejects_bad_shapes():
         DataSet(points=np.zeros(5))
     with pytest.raises(ConfigurationError):
         DataSet(points=[[1.0, np.nan]])
+    # text, bools and ragged rows are not numbers
+    for bad in ([["1", "2"]], [[True, False]], [[1.0], [1.0, 2.0]]):
+        with pytest.raises(ConfigurationError):
+            DataSet(points=bad)
 
 
 def test_dataset_truth_label_validation():

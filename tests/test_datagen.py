@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sparsepcm import ConfigurationError, make_fixture
+from sparsepcm import ConfigurationError, DataSet, make_fixture
 from sparsepcm.datagen import (
     FIXTURE_NAMES,
     Component,
@@ -55,6 +57,10 @@ def test_noise_respects_explicit_box():
     assert noise.shape == (200, 2)
     assert noise[:, 0].min() >= -1.0 and noise[:, 0].max() <= 0.0
     assert noise[:, 1].min() >= 2.0 and noise[:, 1].max() <= 3.0
+    # noise alone needs its box, and has no class centers
+    alone = generate(MixtureSpec(components=(), noise_count=4, noise_box=spec.noise_box))
+    assert alone.truth_labels.tolist() == [0] * 4
+    assert alone.truth_centers is None
 
 
 def test_spec_round_trips_through_dict():
@@ -83,6 +89,74 @@ def test_spec_round_trips_through_dict():
 def test_empty_spec_rejected():
     with pytest.raises(ConfigurationError):
         generate(MixtureSpec(components=()))
+
+
+_UNIT = Component(mean=(0.0, 0.0), covariance=((1.0, 0.0), (0.0, 1.0)), count=5)
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        (MixtureSpec(components=(Component((0.0, 0.0, 0.0), _UNIT.covariance, 5),)),
+         "component 1"),
+        (MixtureSpec(components=(_UNIT, Component((1.0,), ((1.0,),), 5))), "component 2"),
+        (MixtureSpec(components=(_UNIT,), noise_count=3,
+                     noise_box=((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))), "noise_box"),
+        (MixtureSpec(components=(Component("ab", _UNIT.covariance, 5),)),
+         "component 1 mean"),
+        (MixtureSpec(components=(Component((0.0, float("inf")), _UNIT.covariance, 5),)),
+         "component 1 mean"),
+        (MixtureSpec(components=(), noise_count=3, noise_box=((-1e308,), (1e308,))),
+         "finite width"),
+        (MixtureSpec(components=(), noise_count=3, noise_box=((1.0,), (0.0,))),
+         "low <= high"),
+        (MixtureSpec(components=(_UNIT,), noise_count=-2), "counts"),
+    ],
+)
+def test_generate_rejects_malformed_specs(spec, message):
+    with pytest.raises(ConfigurationError, match=message):
+        generate(spec)
+
+
+# JSON values of every type, nested; integers include negatives
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _or_junk(strategy):
+    """strategy's values seven times in eight, so that generate runs on a
+    share of the documents, and any JSON value otherwise."""
+    return st.integers(0, 7).flatmap(lambda i: _JUNK if i == 7 else strategy)
+
+
+_VECTOR = st.lists(_or_junk(st.floats(-5.0, 5.0)), min_size=2, max_size=2)
+_COMPONENT = st.fixed_dictionaries({
+    "mean": _or_junk(_VECTOR),
+    "covariance": _or_junk(st.floats(0.01, 4.0).map(lambda v: [[v, 0.0], [0.0, v]])),
+    "count": _or_junk(st.integers(0, 20)),
+})
+_SPEC_DOC = _or_junk(st.fixed_dictionaries(
+    {"components": _or_junk(st.lists(_or_junk(_COMPONENT), max_size=3))},
+    optional={
+        "noise_count": _or_junk(st.integers(0, 20)),
+        "noise_box": _or_junk(st.lists(_VECTOR, min_size=2, max_size=2)),
+        "seed": _or_junk(st.integers(0, 2**32)),
+    },
+))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(doc=_SPEC_DOC)
+def test_spec_documents_give_a_dataset_or_configuration_error(doc):
+    # warnings are errors under pytest, so a numpy warning fails here too
+    try:
+        data = generate(MixtureSpec.from_dict(doc))
+    except ConfigurationError:
+        return
+    assert isinstance(data, DataSet)
 
 
 def test_fixture_registry():

@@ -56,15 +56,6 @@ def test_gamma_init_reference_values(tiny_two_cluster_set):
     assert gamma[order][1] == pytest.approx(1.2678, abs=5e-4)
 
 
-def test_gamma_init_scales_with_b(tiny_two_cluster_set):
-    res = run_fcm(tiny_two_cluster_set, 2, seed=0)
-    g1 = gamma_init_pcm(res, B=1.0)
-    g2 = gamma_init_pcm(res, B=2.0)
-    np.testing.assert_allclose(g2, 2.0 * g1, rtol=1e-12)
-    with pytest.raises(ConfigurationError):
-        gamma_init_pcm(res, B=0.0)
-
-
 def test_eta_init_uses_unsquared_distances(tiny_two_cluster_set):
     res = run_fcm(tiny_two_cluster_set, 2, seed=0)
     eta = eta_init_sapcm(res)
