@@ -252,6 +252,8 @@ def run(data: DataSet, config: AlgoConfig) -> RunReport:
         m_ini=config.m_ini,
         m_final=model.m,
         iterations=len(history),
+        fcm_iterations=fcm.iterations,
+        fcm_converged=fcm.converged,
         wall_time=wall,
         theta_final=model.theta,
         gamma_final=model.gamma,

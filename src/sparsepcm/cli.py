@@ -84,13 +84,13 @@ def load_csv(path, label_column=None) -> DataSet:
     order.
     """
     path = Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"input file not found: {path}")
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             rows = [row for row in csv.reader(fh) if row]
     except UnicodeDecodeError as exc:
         raise CsvFormatError(f"{path}: not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise ConfigurationError(f"input file {path}: {exc.strerror or exc}") from None
     if not rows:
         raise CsvFormatError(f"{path}: empty file")
 

@@ -182,12 +182,16 @@ class RunReport:
 
     theta_final, gamma_final and lam_final are the returned model; the
     memberships export recomputes its memberships from them.
+    fcm_iterations and fcm_converged tell whether the FCM initializer
+    stopped on its tolerance or at its step cap.
     """
 
     algorithm: str
     m_ini: int
     m_final: int
     iterations: int
+    fcm_iterations: int
+    fcm_converged: bool
     wall_time: float
     theta_final: np.ndarray
     gamma_final: np.ndarray
@@ -203,6 +207,8 @@ class RunReport:
             "m_ini": self.m_ini,
             "m_final": self.m_final,
             "iterations": self.iterations,
+            "fcm_iterations": self.fcm_iterations,
+            "fcm_converged": self.fcm_converged,
             "wall_time": self.wall_time,
             "theta_final": self.theta_final.tolist(),
             "gamma_final": self.gamma_final.tolist(),
@@ -214,12 +220,13 @@ class RunReport:
         }
 
 
-def squared_distances(data: DataSet, theta: np.ndarray) -> np.ndarray:
+def squared_distances(data: DataSet, theta: np.ndarray, out=None) -> np.ndarray:
     """Squared Euclidean distances between every point and every representative.
 
-    Returns an N x m matrix, accumulated one feature at a time from
-    explicit coordinate differences, so no N x m x l temporary is built
-    and identical coordinates give an exact zero.
+    Returns an N x m matrix, written into out when it is given, accumulated
+    one feature at a time from explicit coordinate differences, so no
+    N x m x l temporary is built and identical coordinates give an exact
+    zero.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 2 or theta.shape[1] != data.n_features:
@@ -227,8 +234,12 @@ def squared_distances(data: DataSet, theta: np.ndarray) -> np.ndarray:
             f"theta shape {theta.shape} does not match data dimension {data.n_features}"
         )
     x = data.points
-    d = np.zeros((x.shape[0], theta.shape[0]))
-    for k in range(x.shape[1]):
-        diff = x[:, k, None] - theta[None, :, k]
-        d += diff * diff
+    # the first feature's square goes straight into d: 0 + a == a exactly
+    d = np.subtract(x[:, 0, None], theta[None, :, 0], out=out)
+    np.multiply(d, d, out=d)
+    diff = np.empty_like(d)
+    for k in range(1, x.shape[1]):
+        np.subtract(x[:, k, None], theta[None, :, k], out=diff)
+        np.multiply(diff, diff, out=diff)
+        d += diff
     return d

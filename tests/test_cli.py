@@ -1,9 +1,11 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
+from sparsepcm import ConfigurationError
 from sparsepcm.cli import (
     CsvFormatError,
     iris_path,
@@ -66,6 +68,13 @@ def test_load_csv_rejects_undecodable_bytes(tmp_path):
         load_csv(p)
 
 
+def test_load_csv_directory_is_a_configuration_error(tmp_path):
+    with pytest.raises(ConfigurationError, match=re.escape(str(tmp_path))):
+        load_csv(tmp_path)
+    with pytest.raises(ConfigurationError, match="nope.csv"):
+        load_csv(tmp_path / "nope.csv")
+
+
 def test_bundled_iris():
     data = load_csv(iris_path(), label_column="species")
     assert data.points.shape == (150, 4)
@@ -88,6 +97,8 @@ def test_main_end_to_end(tmp_path, capsys):
     assert doc["failures"] == []
     report = doc["reports"][0]
     assert report["m_final"] == 2
+    assert report["fcm_converged"] is True
+    assert 1 <= report["fcm_iterations"] < 300
 
     run_dir = out / "run_00_spcm"
     with (run_dir / "memberships.csv").open() as fh:

@@ -60,6 +60,11 @@ def test_squared_distances_matches_manual():
         assert (d >= 0).all()
         # a point on a representative is exactly at distance zero
         assert d[7, 2] == 0.0
+        for order in "CF":
+            out = np.full((20, 4), np.nan, order=order)
+            assert squared_distances(DataSet(points=x), theta, out=out) is out
+            np.testing.assert_array_equal(out, d)
+            assert out[7, 2] == 0.0
 
 
 def test_cluster_model_validation():
@@ -106,6 +111,8 @@ def test_run_report_round_trips_through_dict():
         m_ini=3,
         m_final=1,
         iterations=7,
+        fcm_iterations=300,
+        fcm_converged=False,
         wall_time=0.01,
         theta_final=np.array([[1.0, 2.0]]),
         gamma_final=np.array([0.5]),
@@ -118,6 +125,8 @@ def test_run_report_round_trips_through_dict():
     doc = json.loads(json.dumps(report.to_dict()))
     assert doc["algorithm"] == "spcm"
     assert doc["m_final"] == 1
+    assert doc["fcm_iterations"] == 300
+    assert doc["fcm_converged"] is False
     assert doc["labels_final"] == [1, 1, 0]
     np.testing.assert_allclose(doc["theta_final"], report.theta_final)
     assert doc["lam_final"] == 0.125

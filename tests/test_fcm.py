@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from sparsepcm import ConfigurationError, DataSet, DegenerateClusterError
-from sparsepcm.fcm import eta_init_sapcm, gamma_init_pcm, run_fcm
+import fcm_oracle
+from sparsepcm import (
+    ConfigurationError,
+    DataSet,
+    DegenerateClusterError,
+    NumericalError,
+    make_fixture,
+)
+from sparsepcm.fcm import _fcm_memberships, eta_init_sapcm, gamma_init_pcm, run_fcm
 
 
 def _blobs(seed=0):
@@ -72,3 +79,51 @@ def test_degenerate_data_raises():
         res = run_fcm(DataSet(points=pts), 2, seed=0)
         gamma_init_pcm(res)
 
+
+def _one_dimensional_set():
+    rng = np.random.default_rng(3)
+    return DataSet(points=np.concatenate([
+        rng.normal(-2.0, 0.4, size=40), rng.normal(1.0, 0.2, size=25),
+        rng.normal(4.0, 0.8, size=60),
+    ])[:, None])
+
+
+@pytest.mark.parametrize("case, m, seed", [
+    ("experiment1", 2, 0),
+    ("one-dimensional", 3, 0),
+    ("iris", 10, 0),
+    # these three stop at the 300-step cap
+    ("example1", 5, 0),
+    ("example1", 5, 1),
+    ("example1", 5, 2),
+])
+def test_run_fcm_matches_allocating_oracle(case, m, seed, tiny_two_cluster_set, iris_data):
+    if case == "example1":
+        data = make_fixture(case, seed=seed)
+    else:
+        data = {
+            "experiment1": tiny_two_cluster_set,
+            "one-dimensional": _one_dimensional_set(),
+            "iris": iris_data,
+        }[case]
+    res = run_fcm(data, m, seed=seed)
+    theta, u_fcm, d, iterations = fcm_oracle.run_fcm(data, m, seed=seed)
+    np.testing.assert_array_equal(res.theta, theta)
+    np.testing.assert_array_equal(res.u_fcm, u_fcm)
+    np.testing.assert_array_equal(res.d, d)
+    assert res.iterations == iterations
+    assert res.converged == (iterations < 300)
+
+
+def test_fcm_memberships_split_zero_distance_rows():
+    d = np.array([[0.0, 0.0, 4.0], [1.0, 1.0, 2.0]])
+    u = _fcm_memberships(d)
+    np.testing.assert_array_equal(u[0], [0.5, 0.5, 0.0])
+    np.testing.assert_allclose(u[1], [0.4, 0.4, 0.2])
+    np.testing.assert_array_equal(u, fcm_oracle.memberships(d))
+
+
+def test_fcm_memberships_subnormal_row_raises_beside_a_zero_row():
+    d = np.array([[0.0, 1.0], [1e-310, 2e-310], [1.0, 2.0]])
+    with pytest.raises(NumericalError, match="float64 range"):
+        _fcm_memberships(d)
