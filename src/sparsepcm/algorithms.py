@@ -10,6 +10,10 @@ additionally relabel points, eliminate clusters that are nobody's
 most-compatible choice, and re-estimate the per-cluster scales every
 iteration; the fixed-scale ones (pcm, spcm) instead drop emptied
 clusters and merge duplicates once, at the end of the run.
+
+The state of an iteration is the representatives theta (m x l), their
+scales gamma (m) and the sparsity weight lam; run keeps the three as
+locals and every step below is a function of plain arrays.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    ClusterModel,
     ConfigurationError,
     DataSet,
     DegenerateRunError,
@@ -108,17 +111,17 @@ def assign_labels(u: np.ndarray) -> np.ndarray:
     return np.where(u[np.arange(u.shape[0]), best] > 0.0, best + 1, 0)
 
 
-def eliminate_clusters(model: ClusterModel, labels: np.ndarray, keep: np.ndarray):
-    """Drop the clusters not flagged in keep; renumber the labels of the rest.
+def eliminate_clusters(theta: np.ndarray, labels: np.ndarray, keep: np.ndarray):
+    """Drop the representatives not flagged in keep; renumber the labels of
+    the rest.
 
-    Returns (model', labels', removed_indices). Points labeled with a
-    dropped cluster get label 0.
+    Returns (theta', labels'). Points labeled with a dropped cluster get
+    label 0.
     """
-    removed = [int(j) for j in np.flatnonzero(~keep)]
     # old cluster id -> new contiguous id (0 stays 0)
-    remap = np.zeros(model.m + 1, dtype=int)
+    remap = np.zeros(keep.size + 1, dtype=int)
     remap[1:][keep] = np.arange(1, int(keep.sum()) + 1)
-    return model.select(keep), remap[labels], removed
+    return theta[keep], remap[labels]
 
 
 def adapt_eta(data: DataSet, labels: np.ndarray, m: int) -> np.ndarray:
@@ -136,8 +139,9 @@ def adapt_eta(data: DataSet, labels: np.ndarray, m: int) -> np.ndarray:
     return np.maximum(eta, _ETA_FLOOR)
 
 
-def remove_duplicates(model: ClusterModel) -> ClusterModel:
-    """Greedy merge of representatives that converged onto one cluster.
+def remove_duplicates(theta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Greedy merge of representatives that converged onto one cluster;
+    returns the boolean mask of the representatives it keeps.
 
     Scans in index order and keeps a representative only if it stands
     apart from every representative kept so far. Two representatives
@@ -147,20 +151,15 @@ def remove_duplicates(model: ClusterModel) -> ClusterModel:
     making them bit-identical, and a rep sitting well inside another's
     zone of influence is not a separate cluster.
     """
-    kept: list[int] = []
-    radius = np.sqrt(np.maximum(model.gamma, 0.0))
-    for j in range(model.m):
-        duplicate = False
-        for i in kept:
-            gap = float(np.linalg.norm(model.theta[j] - model.theta[i]))
-            if gap < _DUPLICATE_RADIUS_FACTOR * min(radius[i], radius[j]):
-                duplicate = True
-                break
-        if not duplicate:
-            kept.append(j)
-    mask = np.zeros(model.m, dtype=bool)
-    mask[kept] = True
-    return model.select(mask)
+    keep = np.zeros(len(gamma), dtype=bool)
+    radius = np.sqrt(np.maximum(gamma, 0.0))
+    for j in range(len(gamma)):
+        keep[j] = not any(
+            np.linalg.norm(theta[j] - theta[i])
+            < _DUPLICATE_RADIUS_FACTOR * min(radius[i], radius[j])
+            for i in np.flatnonzero(keep)
+        )
+    return keep
 
 
 def _metrics_for(data: DataSet, labels: np.ndarray, theta: np.ndarray):
@@ -212,17 +211,15 @@ def run(data: DataSet, config: AlgoConfig) -> RunReport:
         gamma = eta_hat * eta / config.alpha
     else:
         gamma = gamma_init_pcm(fcm)
-    model = ClusterModel(
-        theta=fcm.theta.copy(), gamma=gamma, p=config.p,
-        lam=compute_lambda(float(gamma.min()), config.p, config.K),
-    )
+    theta = fcm.theta
+    lam = compute_lambda(float(gamma.min()), config.p, config.K)
     history = []
     for t in range(config.max_iter):
-        u = update_memberships(squared_distances(data, model.theta), model)
-        new_theta = update_theta(u, data, model.theta)
+        u = update_memberships(squared_distances(data, theta), gamma, lam, config.p)
+        new_theta = update_theta(u, data, theta)
         if adaptive:
             labels = assign_labels(u)
-            live = np.bincount(labels, minlength=model.m + 1)[1:] > 0
+            live = np.bincount(labels, minlength=len(gamma) + 1)[1:] > 0
         else:
             live = u.sum(axis=0) > 0.0
         if not live.any():
@@ -230,36 +227,38 @@ def run(data: DataSet, config: AlgoConfig) -> RunReport:
                 "no point has a compatible cluster: every membership is zero"
             )
         # movement over the live clusters only, matched by identity
-        move = float(np.linalg.norm(new_theta[live] - model.theta[live], axis=1).max())
+        move = float(np.linalg.norm(new_theta[live] - theta[live], axis=1).max())
         history.append(IterationRecord(
-            iteration=t, theta=model.theta.copy(), gamma=model.gamma.copy(),
-            lam=model.lam, m=model.m, max_move=move,
+            iteration=t, theta=theta.copy(), gamma=gamma.copy(),
+            lam=lam, m=len(gamma), max_move=move,
         ))
-        model.theta = new_theta
+        theta = new_theta
         if adaptive:
-            model, labels, _ = eliminate_clusters(model, labels, live)
-            model.gamma = eta_hat * adapt_eta(data, labels, model.m) / config.alpha
-            model.lam = compute_lambda(float(model.gamma.min()), config.p, config.K)
+            theta, labels = eliminate_clusters(theta, labels, live)
+            gamma = eta_hat * adapt_eta(data, labels, len(theta)) / config.alpha
+            lam = compute_lambda(float(gamma.min()), config.p, config.K)
         if move < config.theta_tol:
             break
     if not adaptive:
-        model = remove_duplicates(model.select(live))
-        u = update_memberships(squared_distances(data, model.theta), model)
+        theta, gamma = theta[live], gamma[live]
+        keep = remove_duplicates(theta, gamma)
+        theta, gamma = theta[keep], gamma[keep]
+        u = update_memberships(squared_distances(data, theta), gamma, lam, config.p)
         labels = assign_labels(u)
     wall = time.perf_counter() - t0
     return RunReport(
         algorithm=config.algorithm,
         m_ini=config.m_ini,
-        m_final=model.m,
+        m_final=len(gamma),
         iterations=len(history),
         fcm_iterations=fcm.iterations,
         fcm_converged=fcm.converged,
         wall_time=wall,
-        theta_final=model.theta,
-        gamma_final=model.gamma,
-        lam_final=model.lam,
+        theta_final=theta,
+        gamma_final=gamma,
+        lam_final=lam,
         labels_final=labels,
         seed=config.seed,
-        metrics=_metrics_for(data, labels, model.theta),
+        metrics=_metrics_for(data, labels, theta),
         history=history,
     )

@@ -25,7 +25,6 @@ import numpy as np
 from .algorithms import ALGORITHMS, AlgoConfig, run
 from .core import (
     ClusteringError,
-    ClusterModel,
     ConfigurationError,
     DataSet,
     RunReport,
@@ -78,10 +77,10 @@ class ExperimentConfig:
 def load_csv(path, label_column=None) -> DataSet:
     """Parse a numeric CSV into a DataSet.
 
-    A single header row is auto-detected (first row with any non-numeric
-    cell). label_column may be a header name or a 0-based column index;
-    its values are mapped to class ids 1..m_true in first-appearance
-    order.
+    label_column may be a header name or a 0-based column index; its
+    values are mapped to class ids 1..m_true in first-appearance order.
+    The first row is a header when label_column is a name, or else when
+    any of its cells outside the label column is non-numeric.
     """
     path = Path(path)
     try:
@@ -94,24 +93,25 @@ def load_csv(path, label_column=None) -> DataSet:
     if not rows:
         raise CsvFormatError(f"{path}: empty file")
 
+    by_name = isinstance(label_column, str) and not label_column.lstrip("-").isdigit()
+    label_idx = None if label_column is None or by_name else int(label_column)
     header = None
     try:
-        [float(c) for c in rows[0]]
+        [float(c) for cno, c in enumerate(rows[0]) if cno != label_idx]
+        has_header = by_name
     except ValueError:
+        has_header = True
+    if has_header:
         header = [c.strip() for c in rows.pop(0)]
         if not rows:
-            raise CsvFormatError(f"{path}: header but no data rows") from None
+            raise CsvFormatError(f"{path}: header but no data rows")
     width = len(rows[0])
-    label_idx = None
-    if label_column is not None:
-        if isinstance(label_column, str) and not label_column.lstrip("-").isdigit():
-            if header is None or label_column not in header:
-                raise CsvFormatError(f"{path}: unknown label column {label_column!r}")
-            label_idx = header.index(label_column)
-        else:
-            label_idx = int(label_column)
-            if not 0 <= label_idx < width:
-                raise CsvFormatError(f"{path}: label column index {label_idx} out of range")
+    if by_name:
+        if label_column not in header:
+            raise CsvFormatError(f"{path}: unknown label column {label_column!r}")
+        label_idx = header.index(label_column)
+    elif label_idx is not None and not 0 <= label_idx < width:
+        raise CsvFormatError(f"{path}: label column index {label_idx} out of range")
 
     feats, raw_labels = [], []
     for rno, row in enumerate(rows, start=2 if header else 1):
@@ -244,11 +244,10 @@ def run_experiment(config: ExperimentConfig):
         run_dir.mkdir(exist_ok=True)
         if "memberships" in config.emit:
             # the memberships of the model the run returned
-            model = ClusterModel(
-                theta=report.theta_final, gamma=report.gamma_final,
-                lam=report.lam_final, p=algo_config.p,
+            u = update_memberships(
+                squared_distances(data, report.theta_final),
+                report.gamma_final, report.lam_final, algo_config.p,
             )
-            u = update_memberships(squared_distances(data, report.theta_final), model)
             _write_matrix_csv(
                 run_dir / "memberships.csv", u,
                 [f"u_{j + 1}" for j in range(report.m_final)],

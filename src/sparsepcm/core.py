@@ -1,14 +1,15 @@
 """Shared domain types and distance computation.
 
-Everything downstream (initializers, the membership solver, the outer
-loop) works on the small set of containers defined here. All arrays are
-float64; label vectors are int arrays where cluster ids run 1..m and 0
-means "no compatible cluster" (noise).
+The input points arrive as a DataSet and a finished run leaves as a
+RunReport; in between, the initializer, the membership solver and the
+outer loop pass plain arrays (theta, gamma) and the float lam. All arrays
+are float64; label vectors are int arrays where cluster ids run 1..m and
+0 means "no compatible cluster" (noise).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -85,12 +86,14 @@ class DataSet:
             raise ConfigurationError("need at least one point and one feature")
         object.__setattr__(self, "points", pts)
         if self.truth_labels is not None:
-            lab = np.asarray(self.truth_labels, dtype=int)
+            lab = float_array(self.truth_labels, "truth_labels", ndim=1)
             if lab.shape != (pts.shape[0],):
                 raise ConfigurationError("truth_labels length must match points")
+            if (lab != np.trunc(lab)).any():
+                raise ConfigurationError("truth_labels must be whole numbers")
             if lab.min() < 0:
                 raise ConfigurationError("truth labels must be >= 0 (0 = noise)")
-            object.__setattr__(self, "truth_labels", lab)
+            object.__setattr__(self, "truth_labels", lab.astype(int))
         if self.truth_centers is not None:
             tc = float_array(self.truth_centers, "truth_centers")
             if tc.shape[1] != pts.shape[1]:
@@ -112,45 +115,6 @@ class DataSet:
 
 
 @dataclass
-class ClusterModel:
-    """Representatives plus the scale and sparsity parameters of a run.
-
-    gamma is the per-cluster influence scale, lam the sparsity weight
-    (lambda is reserved in Python), p the subunity norm exponent.
-    """
-
-    theta: np.ndarray
-    gamma: np.ndarray
-    lam: float = 0.0
-    p: float = 0.5
-
-    def __post_init__(self):
-        self.theta = float_array(self.theta, "theta")
-        self.gamma = np.asarray(self.gamma, dtype=float)
-        if self.gamma.shape != (self.theta.shape[0],):
-            raise ConfigurationError("gamma length must match theta rows")
-        if np.any(self.gamma <= 0):
-            raise ConfigurationError("gamma entries must be positive")
-        if self.lam < 0:
-            raise ConfigurationError("lam must be nonnegative")
-        if not (0.0 < self.p < 1.0):
-            raise ConfigurationError("p must lie in (0,1)")
-
-    @property
-    def m(self) -> int:
-        return self.theta.shape[0]
-
-    def select(self, keep: np.ndarray) -> "ClusterModel":
-        """New model restricted to the clusters flagged in the boolean mask."""
-        return ClusterModel(
-            theta=self.theta[keep].copy(),
-            gamma=self.gamma[keep].copy(),
-            lam=self.lam,
-            p=self.p,
-        )
-
-
-@dataclass
 class IterationRecord:
     """Snapshot of one outer iteration, kept in RunReport.history.
 
@@ -164,16 +128,6 @@ class IterationRecord:
     lam: float
     m: int
     max_move: float
-
-    def to_dict(self):
-        return {
-            "iteration": self.iteration,
-            "theta": self.theta.tolist(),
-            "gamma": self.gamma.tolist(),
-            "lambda": self.lam,
-            "m": self.m,
-            "max_move": self.max_move,
-        }
 
 
 @dataclass
@@ -202,22 +156,21 @@ class RunReport:
     history: list = field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "algorithm": self.algorithm,
-            "m_ini": self.m_ini,
-            "m_final": self.m_final,
-            "iterations": self.iterations,
-            "fcm_iterations": self.fcm_iterations,
-            "fcm_converged": self.fcm_converged,
-            "wall_time": self.wall_time,
-            "theta_final": self.theta_final.tolist(),
-            "gamma_final": self.gamma_final.tolist(),
-            "lam_final": self.lam_final,
-            "labels_final": self.labels_final.tolist(),
-            "seed": self.seed,
-            "metrics": self.metrics,
-            "history": [rec.to_dict() for rec in self.history],
-        }
+        return _json_dict(self)
+
+
+def _json_dict(record):
+    """The dataclass fields of record in declaration order, arrays as lists
+    and history records as dicts; lam is written under the key "lambda"."""
+    doc = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        elif isinstance(value, list):
+            value = [_json_dict(rec) for rec in value]
+        doc["lambda" if f.name == "lam" else f.name] = value
+    return doc
 
 
 def squared_distances(data: DataSet, theta: np.ndarray, out=None) -> np.ndarray:

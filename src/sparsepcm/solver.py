@@ -15,12 +15,13 @@ one in (u_hat, 1). That root is the candidate; it is kept only if it
 beats the zero solution, which reduces to the closed-form test
 u2 > thr = (lam*(1-p)/gamma)**(1/(1-p)).
 
-update_memberships solves every entry of an N x m matrix at once. The
-larger root is found by Newton's method in t = ln u, where
-f(t) = d + gamma*t + lam*p*e**((p-1)*t) is convex with f(0) > 0: started
-at t = 0 the iterates descend monotonically onto the root, with no
-bracket. An iterate that falls to ln(thr) settles the entry as 0, since
-the root lies below it.
+update_memberships(d, gamma, lam, p) solves every entry of an N x m
+matrix at once from the squared distances alone; it never reads the
+representatives. The larger root is found by Newton's method in
+t = ln u, where f(t) = d + gamma*t + lam*p*e**((p-1)*t) is convex with
+f(0) > 0: started at t = 0 the iterates descend monotonically onto the
+root, with no bracket. An iterate that falls to ln(thr) settles the
+entry as 0, since the root lies below it.
 
 With lam = 0 everything collapses to the classical exponential
 membership exp(-d/gamma).
@@ -32,7 +33,7 @@ import math
 
 import numpy as np
 
-from .core import ClusterModel, NumericalError
+from .core import NumericalError
 
 # With the threshold stop Newton needs under ten steps; the cap turns a
 # runaway iteration into an error instead of an endless loop.
@@ -95,11 +96,11 @@ def _newton_log(d, gamma, t_stop, lam, p):
     )
 
 
-def update_memberships(d: np.ndarray, model: ClusterModel) -> np.ndarray:
+def update_memberships(d: np.ndarray, gamma: np.ndarray, lam: float, p: float) -> np.ndarray:
     """Solve every entry of the N x m membership matrix for the squared
-    distances d to the model's representatives."""
+    distances d, the m scales gamma, the sparsity weight lam and the norm
+    exponent p."""
     d = np.asarray(d, dtype=float)
-    gamma, lam, p = model.gamma, model.lam, model.p
     if lam == 0.0:
         return np.exp(-d / gamma[None, :])
     a = lam * p * (1.0 - p) / gamma

@@ -16,7 +16,6 @@ import math
 import numpy as np
 from scipy.optimize import brentq
 
-from sparsepcm.core import ClusterModel
 from sparsepcm.solver import update_memberships
 
 
@@ -49,5 +48,5 @@ def larger_root(d, gamma, lam, p):
 
 def chosen(d, gamma, lam, p):
     """The membership the production solver gives the single entry."""
-    model = ClusterModel(theta=np.zeros((1, 1)), gamma=[gamma], lam=lam, p=p)
-    return float(update_memberships(np.array([[d]], dtype=float), model)[0, 0])
+    u = update_memberships(np.array([[d]], dtype=float), np.array([gamma], dtype=float), lam, p)
+    return float(u[0, 0])

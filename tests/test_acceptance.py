@@ -17,7 +17,7 @@ import membership_oracle
 import test_properties as props
 from reference_tables import GAMMA_INIT, INIT, PCM_ITER8, SPCM_ITER5
 from sparsepcm.algorithms import AlgoConfig, run
-from sparsepcm.core import ClusterModel, squared_distances
+from sparsepcm.core import squared_distances
 from sparsepcm.datagen import make_fixture
 from sparsepcm.fcm import run_fcm
 from sparsepcm.solver import compute_lambda, update_memberships
@@ -121,11 +121,10 @@ def _aligned(u, theta, ref):
 
 
 def _recomputed_memberships(data, report, p=0.5):
-    model = ClusterModel(
-        theta=report.theta_final, gamma=report.gamma_final,
-        lam=report.lam_final, p=p,
+    return update_memberships(
+        squared_distances(data, report.theta_final),
+        report.gamma_final, report.lam_final, p,
     )
-    return update_memberships(squared_distances(data, report.theta_final), model)
 
 
 def test_acceptance_1_solver_matches_grid_oracle(acceptance_log):

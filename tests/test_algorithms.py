@@ -11,7 +11,6 @@ from sparsepcm.algorithms import (
     update_theta,
 )
 from sparsepcm.core import (
-    ClusterModel,
     ConfigurationError,
     DataSet,
     DegenerateRunError,
@@ -92,24 +91,19 @@ def test_assign_labels_means():
 
 
 def test_eliminate_clusters_renumbers():
-    model = ClusterModel(
-        theta=np.array([[0.0], [2.5], [5.0]]),
-        gamma=np.array([1.0, 1.0, 1.0]),
-        lam=0.0,
-        p=0.5,
-    )
+    theta = np.array([[0.0], [2.5], [5.0]])
     u = np.array([
         [0.9, 0.0, 0.0],
         [0.8, 0.0, 0.0],
         [0.0, 0.0, 0.7],
     ])
     labels = assign_labels(u)
-    keep = np.bincount(labels, minlength=model.m + 1)[1:] > 0
-    new_model, labels, removed = eliminate_clusters(model, labels, keep)
-    assert removed == [1]
-    assert new_model.m == 2
+    keep = np.bincount(labels, minlength=theta.shape[0] + 1)[1:] > 0
+    assert keep.tolist() == [True, False, True]
+    new_theta, labels = eliminate_clusters(theta, labels, keep)
+    assert new_theta.shape[0] == 2
     assert labels.tolist() == [1, 1, 2]
-    np.testing.assert_allclose(new_model.theta[:, 0], [0.0, 5.0])
+    np.testing.assert_allclose(new_theta[:, 0], [0.0, 5.0])
 
 
 def test_adapt_eta_mean_absolute_deviation():
@@ -126,7 +120,8 @@ def test_adapt_eta_mean_absolute_deviation():
 def test_run_raises_when_no_cluster_is_left(algorithm, monkeypatch):
     # memberships that are all zero leave no cluster for any point
     monkeypatch.setattr(
-        "sparsepcm.algorithms.update_memberships", lambda d, model: np.zeros_like(d)
+        "sparsepcm.algorithms.update_memberships",
+        lambda d, gamma, lam, p: np.zeros_like(d),
     )
     with pytest.raises(DegenerateRunError, match="no point has a compatible cluster"):
         run(_blob(n=40), AlgoConfig(algorithm, 3, alpha=1.0, seed=0))
@@ -144,44 +139,34 @@ def test_update_theta_freezes_dead_columns():
 # ------------------------------------------------------- duplicate merge
 
 
-def _model(theta, gamma):
-    return ClusterModel(
-        theta=np.asarray(theta, dtype=float),
-        gamma=np.asarray(gamma, dtype=float),
-        lam=0.0,
-        p=0.5,
-    )
+def _keep(theta, gamma):
+    return remove_duplicates(
+        np.asarray(theta, dtype=float), np.asarray(gamma, dtype=float)
+    ).tolist()
 
 
 def test_remove_duplicates_keeps_lowest_index():
-    model = _model([[0.0, 0.0], [0.4, 0.0], [3.0, 0.0]], [1.0, 1.0, 1.0])
-    out = remove_duplicates(model)
-    assert out.m == 2
-    np.testing.assert_allclose(out.theta[:, 0], [0.0, 3.0])  # keeps lowest index
+    # the first two merge and the lower index survives
+    assert _keep([[0.0, 0.0], [0.4, 0.0], [3.0, 0.0]], [1.0, 1.0, 1.0]) == [True, False, True]
 
 
 def test_remove_duplicates_radius_rule():
     # gap 0.8 with radii 1.0: inside 1.5x the smaller radius, merged;
     # gap 4.0: kept
-    model = _model([[0.0, 0.0], [0.8, 0.0], [4.0, 0.0]], [1.0, 1.0, 1.0])
-    out = remove_duplicates(model)
-    assert out.m == 2
+    assert _keep([[0.0, 0.0], [0.8, 0.0], [4.0, 0.0]], [1.0, 1.0, 1.0]) == [True, False, True]
     # same gap but tight scales: 0.8 > 1.5 * sqrt(0.04), both survive
-    model = _model([[0.0, 0.0], [0.8, 0.0]], [0.04, 0.04])
-    assert remove_duplicates(model).m == 2
-    model = _model([[0.0, 0.0], [0.8, 0.0]], [1.0, 0.04])
-    assert remove_duplicates(model).m == 2  # the smaller radius decides
+    assert _keep([[0.0, 0.0], [0.8, 0.0]], [0.04, 0.04]) == [True, True]
+    # the smaller radius decides
+    assert _keep([[0.0, 0.0], [0.8, 0.0]], [1.0, 0.04]) == [True, True]
 
 
 def test_remove_duplicates_is_idempotent():
-    model = _model(
-        [[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [5.0, 5.0]],
-        [1.0, 1.0, 1.0, 1.0],
-    )
-    once = remove_duplicates(model)
-    twice = remove_duplicates(once)
-    assert once.m == twice.m == 2
-    np.testing.assert_array_equal(once.theta, twice.theta)
+    theta = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [5.0, 5.0]])
+    gamma = np.ones(4)
+    once = remove_duplicates(theta, gamma)
+    assert once.tolist() == [True, False, False, True]
+    twice = remove_duplicates(theta[once], gamma[once])
+    assert twice.tolist() == [True, True]
 
 
 # ------------------------------------------------------------- full runs
@@ -257,14 +242,13 @@ def test_coincident_representatives_larger_scale_wins():
     theta = np.array([[0.0, 0.0], [0.0, 0.0]])
     gamma = np.array([0.25, 2.0])
     lam = compute_lambda(float(gamma.min()), 0.5, 0.1)
-    model = ClusterModel(theta=theta, gamma=gamma, lam=lam, p=0.5)
-    u = update_memberships(squared_distances(data, theta), model)
+    u = update_memberships(squared_distances(data, theta), gamma, lam, 0.5)
     labels = assign_labels(u)
-    keep = np.bincount(labels, minlength=model.m + 1)[1:] > 0
-    new_model, _, removed = eliminate_clusters(model, labels, keep)
-    assert removed == [0]
-    assert new_model.m == 1
-    assert new_model.gamma[0] == pytest.approx(2.0)
+    keep = np.bincount(labels, minlength=len(gamma) + 1)[1:] > 0
+    assert keep.tolist() == [False, True]
+    new_theta, labels = eliminate_clusters(theta, labels, keep)
+    assert new_theta.shape[0] == 1
+    assert (labels == 1).all()
 
 
 def test_spcm_far_outlier_is_unassigned():
@@ -314,7 +298,6 @@ def test_first_iteration_snapshots_match_reference(tiny_two_cluster_set):
     np.testing.assert_allclose(u_pcm, ref.PCM_ITER1, atol=0.03)
 
     lam = compute_lambda(float(gamma.min()), 0.5, 0.9)
-    model = ClusterModel(theta=theta, gamma=gamma, lam=lam, p=0.5)
-    u_spcm = update_memberships(d, model)
+    u_spcm = update_memberships(d, gamma, lam, 0.5)
     np.testing.assert_allclose(u_spcm, ref.SPCM_ITER1, atol=0.02)
     np.testing.assert_array_equal(u_spcm == 0.0, ref.SPCM_ITER1 == 0.0)

@@ -54,6 +54,17 @@ def test_load_csv_label_column_by_name_and_index(tmp_path):
     np.testing.assert_array_equal(by_name.truth_labels, by_index.truth_labels)
 
 
+def test_load_csv_text_label_does_not_make_a_header(tmp_path):
+    # only the label cell of row 1 is text: the row is data, not a header
+    p = tmp_path / "species.csv"
+    p.write_text("5.1,3.5,setosa\n4.9,3.0,setosa\n6.3,3.3,virginica\n")
+    for column in (2, "2"):
+        data = load_csv(p, label_column=column)
+        assert data.n_points == 3
+        assert data.truth_labels.tolist() == [1, 1, 2]
+        np.testing.assert_array_equal(data.points[0], [5.1, 3.5])
+
+
 def test_load_csv_rejects_ragged_rows(tmp_path):
     p = tmp_path / "ragged.csv"
     p.write_text("1.0,2.0\n3.0\n")

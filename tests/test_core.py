@@ -1,15 +1,18 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sparsepcm
 from sparsepcm import (
     ClusteringError,
     ConfigurationError,
     DataSet,
     RunReport,
 )
-from sparsepcm.core import ClusterModel, IterationRecord, squared_distances
+from sparsepcm.core import IterationRecord, squared_distances
 
 
 def test_dataset_coerces_to_float_matrix():
@@ -45,6 +48,16 @@ def test_dataset_truth_label_validation():
         DataSet(points=pts, truth_labels=[0, 1, 2], truth_centers=np.zeros((1, 2)))
     with pytest.raises(ConfigurationError):
         DataSet(points=pts, truth_centers=np.zeros((2, 3)))
+    # integral floats and int arrays are labels; anything else is refused
+    # with an error that names the field
+    labels = DataSet(points=pts, truth_labels=[1.0, 2.0, 0.0]).truth_labels
+    assert labels.dtype.kind == "i" and labels.tolist() == [1, 2, 0]
+    labels = DataSet(points=pts, truth_labels=np.array([2, 0, 1])).truth_labels
+    assert labels.tolist() == [2, 0, 1]
+    for bad in ([1.7, 2.0, 1.0], [True, False, True], [1, np.nan, 2],
+                [1, np.inf, 2], ["a", "b", "c"]):
+        with pytest.raises(ConfigurationError, match="truth_labels"):
+            DataSet(points=pts, truth_labels=bad)
 
 
 def test_squared_distances_matches_manual():
@@ -65,32 +78,6 @@ def test_squared_distances_matches_manual():
             assert squared_distances(DataSet(points=x), theta, out=out) is out
             np.testing.assert_array_equal(out, d)
             assert out[7, 2] == 0.0
-
-
-def test_cluster_model_validation():
-    theta = np.zeros((2, 2))
-    ClusterModel(theta=theta, gamma=np.ones(2), lam=0.1, p=0.5)
-    with pytest.raises(ConfigurationError):
-        ClusterModel(theta=theta, gamma=np.ones(3), lam=0.1, p=0.5)
-    with pytest.raises(ConfigurationError):
-        ClusterModel(theta=theta, gamma=np.array([1.0, 0.0]), lam=0.1, p=0.5)
-    with pytest.raises(ConfigurationError):
-        ClusterModel(theta=theta, gamma=np.ones(2), lam=-1.0, p=0.5)
-    with pytest.raises(ConfigurationError):
-        ClusterModel(theta=theta, gamma=np.ones(2), lam=0.1, p=1.0)
-
-
-def test_cluster_model_select_keeps_rows():
-    model = ClusterModel(
-        theta=np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]),
-        gamma=np.array([1.0, 2.0, 3.0]),
-        lam=0.0,
-        p=0.5,
-    )
-    sub = model.select(np.array([True, False, True]))
-    assert sub.m == 2
-    np.testing.assert_allclose(sub.gamma, [1.0, 3.0])
-    np.testing.assert_allclose(sub.theta[1], [2.0, 2.0])
 
 
 def test_exception_hierarchy():
@@ -132,3 +119,26 @@ def test_run_report_round_trips_through_dict():
     assert doc["lam_final"] == 0.125
     assert doc["history"][0]["lambda"] == pytest.approx(0.25)
     assert doc["metrics"]["sr"] == pytest.approx(100.0)
+
+
+def test_every_public_src_name_is_used_in_src():
+    """No public function, class or method of the package exists only for
+    its tests: each is referenced by name somewhere in the package's own
+    modules. The console entry point main is the one exception."""
+    public, used = set(), set()
+    for path in Path(sparsepcm.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            public.update(
+                d.name for d in (node, *members)
+                if isinstance(d, (ast.FunctionDef, ast.ClassDef))
+                and not d.name.startswith("_")
+            )
+    assert {"run", "DataSet", "to_dict"} <= public
+    assert sorted(public - used - {"main"}) == []

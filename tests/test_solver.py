@@ -5,7 +5,7 @@ import pytest
 
 import membership_oracle as oracle
 from sparsepcm import solver
-from sparsepcm.core import ClusterModel, DataSet, NumericalError, squared_distances
+from sparsepcm.core import DataSet, NumericalError, squared_distances
 from sparsepcm.solver import compute_lambda, update_memberships
 
 
@@ -32,11 +32,11 @@ def test_minimum_at_or_past_one_gives_zero_memberships():
     # decreasing on (0, 1] and positive at 1, so even a point on the
     # representative gets 0. The second column (a < 1/e) shows the rule
     # is applied per cluster.
-    model = ClusterModel(theta=np.zeros((2, 1)), gamma=[0.01, 1.0], lam=0.5, p=0.5)
-    a = model.lam * model.p * (1.0 - model.p) / model.gamma
+    gamma, lam, p = np.array([0.01, 1.0]), 0.5, 0.5
+    a = lam * p * (1.0 - p) / gamma
     assert a[0] >= 1.0 and a[1] < 1.0 / math.e
     d = np.array([[0.0, 0.0], [0.005, 0.005], [0.02, 0.02], [1.0, 1.0]])
-    u = update_memberships(d, model)
+    u = update_memberships(d, gamma, lam, p)
     np.testing.assert_array_equal(u[:, 0], 0.0)
     assert u[0, 1] > 0.0
 
@@ -110,9 +110,8 @@ def test_update_memberships_matches_scalar_solver():
     gamma = rng.uniform(0.3, 2.0, size=3)
     lam = compute_lambda(float(gamma.min()), 0.5, 0.9)
     data = DataSet(points=x)
-    model = ClusterModel(theta=theta, gamma=gamma, lam=lam, p=0.5)
     d = squared_distances(data, theta)
-    u = update_memberships(d, model)
+    u = update_memberships(d, gamma, lam, 0.5)
     assert u.shape == (40, 3)
     assert np.all(np.isfinite(u)) and u.min() >= 0.0 and u.max() <= 1.0
     thr = [oracle.threshold(g, lam, 0.5) for g in gamma]
@@ -134,8 +133,7 @@ def test_memberships_decay_with_distance_row():
     theta = np.array([[0.0]])
     gamma = np.array([1.0])
     lam = compute_lambda(1.0, 0.5, 0.9)
-    model = ClusterModel(theta=theta, gamma=gamma, lam=lam, p=0.5)
-    u = update_memberships(squared_distances(data, theta), model)[:, 0]
+    u = update_memberships(squared_distances(data, theta), gamma, lam, 0.5)[:, 0]
     assert (np.diff(u) <= 1e-12).all()
     assert u[0] > 0.0
     assert u[-1] == 0.0
