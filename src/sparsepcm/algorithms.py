@@ -38,7 +38,6 @@ from .fcm import eta_init_sapcm, gamma_init_pcm, run_fcm
 from .metrics import mean_distance, rand_measure, success_rate
 from .solver import compute_lambda, update_memberships
 
-_ETA_FLOOR = 1e-9
 _DUPLICATE_RADIUS_FACTOR = 1.5
 
 ALGORITHMS = ("pcm", "spcm", "sapcm", "apcm")
@@ -124,19 +123,19 @@ def eliminate_clusters(theta: np.ndarray, labels: np.ndarray, keep: np.ndarray):
     return theta[keep], remap[labels]
 
 
-def adapt_eta(data: DataSet, labels: np.ndarray, m: int) -> np.ndarray:
+def adapt_eta(data: DataSet, labels: np.ndarray, m: int, floor: float) -> np.ndarray:
     """Mean distance of each cluster's most-compatible points to their mean.
 
     Every cluster 1..m must own at least one label. Deviations are
     measured from the label-group mean, not from the representative.
-    Values below the positivity floor are clamped so the downstream
-    scale parameters stay positive.
+    Values below floor, a positive distance, are clamped so the
+    downstream scale parameters stay positive.
     """
     eta = np.empty(m)
     for j in range(m):
         pts = data.points[labels == j + 1]
         eta[j] = np.linalg.norm(pts - pts.mean(axis=0), axis=1).mean()
-    return np.maximum(eta, _ETA_FLOOR)
+    return np.maximum(eta, floor)
 
 
 def remove_duplicates(theta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -204,7 +203,7 @@ def run(data: DataSet, config: AlgoConfig) -> RunReport:
     """
     t0 = time.perf_counter()
     adaptive = config.algorithm in ("sapcm", "apcm")
-    fcm = run_fcm(data, config.m_ini, seed=config.seed)
+    fcm = run_fcm(data, config.m_ini, config.theta_tol, seed=config.seed)
     if adaptive:
         eta = eta_init_sapcm(fcm)
         eta_hat = float(eta.min())
@@ -235,7 +234,9 @@ def run(data: DataSet, config: AlgoConfig) -> RunReport:
         theta = new_theta
         if adaptive:
             theta, labels = eliminate_clusters(theta, labels, live)
-            gamma = eta_hat * adapt_eta(data, labels, len(theta)) / config.alpha
+            # floor 1e-3 * theta_tol: exactly 1e-9 at the default, unlike theta_tol / 1000
+            eta = adapt_eta(data, labels, len(theta), 1e-3 * config.theta_tol)
+            gamma = eta_hat * eta / config.alpha
             lam = compute_lambda(float(gamma.min()), config.p, config.K)
         if move < config.theta_tol:
             break

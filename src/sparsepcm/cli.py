@@ -106,6 +106,10 @@ def load_csv(path, label_column=None) -> DataSet:
         if not rows:
             raise CsvFormatError(f"{path}: header but no data rows")
     width = len(rows[0])
+    if header is not None and len(header) != width:
+        raise CsvFormatError(
+            f"{path}: header has {len(header)} names but row 2 has {width} cells"
+        )
     if by_name:
         if label_column not in header:
             raise CsvFormatError(f"{path}: unknown label column {label_column!r}")

@@ -32,7 +32,7 @@ class DegenerateRunError(ClusteringError):
 
 
 class NumericalError(ClusteringError):
-    """A computation left float range or root finding failed to converge."""
+    """A computation left float range."""
 
 
 def json_field(doc, key, kinds, what, *default, where=""):

@@ -19,7 +19,6 @@ from .core import (
 )
 
 _DENOM_FLOOR = 1e-12
-_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -28,7 +27,7 @@ class FcmResult:
     u_fcm: np.ndarray       # N x m row-stochastic memberships
     d: np.ndarray           # N x m squared distances to theta
     iterations: int
-    converged: bool         # the last step moved every representative less than _TOL
+    converged: bool         # the last step moved every representative less than tol
 
 
 def _seed_representatives(data: DataSet, m: int, seed: int) -> np.ndarray:
@@ -65,12 +64,12 @@ def _fcm_memberships(d: np.ndarray, out=None) -> np.ndarray:
     return u
 
 
-def run_fcm(data: DataSet, m: int, seed: int = 0, max_iter: int = 300) -> FcmResult:
+def run_fcm(data: DataSet, m: int, tol: float, seed: int = 0, max_iter: int = 300) -> FcmResult:
     """Standard FCM with fuzzifier 2 on squared Euclidean distances.
 
     Representatives start at m distinct data points drawn by the seeded
     generator; iteration stops when no representative moves more than
-    _TOL, an absolute distance in data units, or after max_iter steps.
+    tol, a distance in data units, or after max_iter steps.
     """
     if not 1 <= m <= data.n_points:
         raise ConfigurationError(f"m={m} must satisfy 1 <= m <= N={data.n_points}")
@@ -93,7 +92,7 @@ def run_fcm(data: DataSet, m: int, seed: int = 0, max_iter: int = 300) -> FcmRes
         new_theta = (w.T @ x) / denom[:, None]
         move = np.sqrt(((new_theta - theta) ** 2).sum(axis=1)).max()
         theta = new_theta
-        converged = bool(move < _TOL)
+        converged = bool(move < tol)
         if converged:
             break
     # memberships consistent with the final representatives

@@ -5,13 +5,13 @@ distance matrix from np.zeros, its weights from 1/d and its squared
 weights from u * u, with a full d == 0 pass for coincident points. The
 production loop reuses its buffers instead, with the same arithmetic in
 the same order, so the two must agree bit for bit. Only the seeding and
-the module constants are shared with it.
+the membership-mass floor are shared with it.
 """
 
 import numpy as np
 
 from sparsepcm.core import DegenerateClusterError, NumericalError
-from sparsepcm.fcm import _DENOM_FLOOR, _TOL, _seed_representatives
+from sparsepcm.fcm import _DENOM_FLOOR, _seed_representatives
 
 
 def squared_distances(data, theta):
@@ -44,8 +44,9 @@ def memberships(d):
     return u
 
 
-def run_fcm(data, m, seed=0, max_iter=300):
-    """(theta, u_fcm, d, iterations) of the plain FCM loop."""
+def run_fcm(data, m, tol, seed=0, max_iter=300):
+    """(theta, u_fcm, d, iterations) of the plain FCM loop, stopped once no
+    representative moves tol or more."""
     x = data.points
     theta = _seed_representatives(data, m, seed)
     it = 0
@@ -58,7 +59,7 @@ def run_fcm(data, m, seed=0, max_iter=300):
         new_theta = (w.T @ x) / denom[:, None]
         move = np.sqrt(((new_theta - theta) ** 2).sum(axis=1)).max()
         theta = new_theta
-        if move < _TOL:
+        if move < tol:
             break
     d = squared_distances(data, theta)
     return theta, memberships(d), d, it

@@ -204,7 +204,7 @@ def test_acceptance_3_seventeen_point_tables(acceptance_log):
     t0 = time.perf_counter()
     data = make_fixture("experiment1")
 
-    fcm = run_fcm(data, 2, seed=0)
+    fcm = run_fcm(data, 2, tol=1e-6, seed=0)
     u_init, ref_init = _aligned(fcm.u_fcm, fcm.theta, INIT)
     init_err = float(np.abs(u_init - ref_init).max())
 

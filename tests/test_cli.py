@@ -72,6 +72,17 @@ def test_load_csv_rejects_ragged_rows(tmp_path):
         load_csv(p)
 
 
+def test_load_csv_rejects_header_of_another_width(tmp_path):
+    narrow = tmp_path / "narrow.csv"
+    narrow.write_text("x,cls\n1,a,5\n3,b,6\n")
+    with pytest.raises(CsvFormatError, match="header has 2 names but row 2 has 3 cells"):
+        load_csv(narrow, label_column="cls")
+    wide = tmp_path / "wide.csv"
+    wide.write_text("x,y,z\n1,2\n3,4\n")
+    with pytest.raises(CsvFormatError, match="header has 3 names but row 2 has 2 cells"):
+        load_csv(wide)
+
+
 def test_load_csv_rejects_undecodable_bytes(tmp_path):
     p = tmp_path / "latin1.csv"
     p.write_bytes(b"caf\xe9,1.0\n2.0,3.0\n")

@@ -21,7 +21,7 @@ def _blobs(seed=0):
 
 def test_fcm_memberships_are_row_stochastic():
     data = _blobs()
-    res = run_fcm(data, 3, seed=1)
+    res = run_fcm(data, 3, tol=1e-6, seed=1)
     assert res.u_fcm.shape == (200, 3)
     np.testing.assert_allclose(res.u_fcm.sum(axis=1), 1.0, atol=1e-9)
     assert res.u_fcm.min() >= 0.0
@@ -29,7 +29,7 @@ def test_fcm_memberships_are_row_stochastic():
 
 def test_fcm_finds_separated_blob_centers():
     data = _blobs()
-    res = run_fcm(data, 2, seed=0)
+    res = run_fcm(data, 2, tol=1e-6, seed=0)
     centers = res.theta[np.argsort(res.theta[:, 0])]
     assert np.linalg.norm(centers[0] - [0.0, 0.0]) < 0.2
     assert np.linalg.norm(centers[1] - [5.0, 5.0]) < 0.2
@@ -37,17 +37,17 @@ def test_fcm_finds_separated_blob_centers():
 
 def test_fcm_seeding_is_reproducible():
     data = _blobs()
-    r1 = run_fcm(data, 4, seed=123)
-    r2 = run_fcm(data, 4, seed=123)
+    r1 = run_fcm(data, 4, tol=1e-6, seed=123)
+    r2 = run_fcm(data, 4, tol=1e-6, seed=123)
     np.testing.assert_array_equal(r1.theta, r2.theta)
 
 
 def test_fcm_rejects_bad_arguments():
     data = _blobs()
     with pytest.raises(ConfigurationError):
-        run_fcm(data, 0)
+        run_fcm(data, 0, tol=1e-6)
     with pytest.raises(ConfigurationError):
-        run_fcm(data, 201)
+        run_fcm(data, 201, tol=1e-6)
 
 
 def test_gamma_init_reference_values(tiny_two_cluster_set):
@@ -56,7 +56,7 @@ def test_gamma_init_reference_values(tiny_two_cluster_set):
     The two-cluster table pins the initial scales at 0.6147 and 1.2678
     (left and right group respectively).
     """
-    res = run_fcm(tiny_two_cluster_set, 2, seed=0)
+    res = run_fcm(tiny_two_cluster_set, 2, tol=1e-6, seed=0)
     gamma = gamma_init_pcm(res)
     order = np.argsort(res.theta[:, 0])
     assert gamma[order][0] == pytest.approx(0.6147, abs=5e-4)
@@ -64,7 +64,7 @@ def test_gamma_init_reference_values(tiny_two_cluster_set):
 
 
 def test_eta_init_uses_unsquared_distances(tiny_two_cluster_set):
-    res = run_fcm(tiny_two_cluster_set, 2, seed=0)
+    res = run_fcm(tiny_two_cluster_set, 2, tol=1e-6, seed=0)
     eta = eta_init_sapcm(res)
     gamma = gamma_init_pcm(res)
     assert (eta > 0).all()
@@ -76,7 +76,7 @@ def test_eta_init_uses_unsquared_distances(tiny_two_cluster_set):
 def test_degenerate_data_raises():
     pts = np.ones((5, 2))
     with pytest.raises(DegenerateClusterError):
-        res = run_fcm(DataSet(points=pts), 2, seed=0)
+        res = run_fcm(DataSet(points=pts), 2, tol=1e-6, seed=0)
         gamma_init_pcm(res)
 
 
@@ -106,8 +106,8 @@ def test_run_fcm_matches_allocating_oracle(case, m, seed, tiny_two_cluster_set, 
             "one-dimensional": _one_dimensional_set(),
             "iris": iris_data,
         }[case]
-    res = run_fcm(data, m, seed=seed)
-    theta, u_fcm, d, iterations = fcm_oracle.run_fcm(data, m, seed=seed)
+    res = run_fcm(data, m, tol=1e-6, seed=seed)
+    theta, u_fcm, d, iterations = fcm_oracle.run_fcm(data, m, tol=1e-6, seed=seed)
     np.testing.assert_array_equal(res.theta, theta)
     np.testing.assert_array_equal(res.u_fcm, u_fcm)
     np.testing.assert_array_equal(res.d, d)

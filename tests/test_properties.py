@@ -5,9 +5,12 @@ distance, solver monotonicity in the scale, the zero-vs-root decision
 trace, the cluster count trajectory of the adaptive sparse run, theta
 updates staying inside the data box, and metric invariance under
 relabelings. The acceptance suite re-runs these same functions.
+
+A seventh check, on fixed draws, scales whole runs by powers of two.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +27,8 @@ _SUITE = settings(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 
-# the solver stops at |f| <= 1e-10 * scale; 1e-6 in u absorbs the slack
+# memberships compared across two solves, or against the oracle's brentq
+# root and threshold, each carry their own rounding; 1e-6 in u absorbs it
 _U_SLACK = 1e-6
 
 
@@ -163,3 +167,33 @@ def test_metric_scores_ignore_label_identities(seed, n, k, m):
     sr_s, per_s = success_rate(pred[order], truth[order], k)
     assert sr_s == sr
     assert per_s == success_rate(pred, truth, k)[1]
+
+
+def _blob_draw(seed):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 4))
+    centers = np.array([(0.0, 0.0), (4.0, 0.0), (2.0, 3.5)])[:k]
+    spread = float(rng.uniform(0.15, 0.45))
+    pts = np.vstack([rng.normal(c, spread, size=(int(rng.integers(15, 25)), 2))
+                     for c in centers])
+    return pts, int(rng.integers(3, 7)), float(rng.uniform(0.8, 2.0))
+
+
+@pytest.mark.parametrize("algorithm", ["pcm", "spcm", "sapcm", "apcm"])
+def test_runs_are_equivariant_under_power_of_two_scaling(algorithm):
+    """Points and theta_tol times 2**k give theta times 2**k, gamma and
+    lam times 4**k, and the same labels, cluster count and iterations,
+    bit for bit: no step of a run carries units of its own."""
+    for seed in range(6):
+        pts, m_ini, alpha = _blob_draw(seed)
+        knobs = dict(algorithm=algorithm, m_ini=m_ini, seed=seed, max_iter=100,
+                         alpha=alpha if algorithm in ("sapcm", "apcm") else None)
+        base = run(DataSet(points=pts), AlgoConfig(**knobs))
+        for k in (-300, -30, 30, 300):
+            scaled = run(DataSet(points=pts * 2.0**k),
+                         AlgoConfig(theta_tol=1e-6 * 2.0**k, **knobs))
+            np.testing.assert_array_equal(scaled.theta_final, base.theta_final * 2.0**k)
+            np.testing.assert_array_equal(scaled.gamma_final, base.gamma_final * 4.0**k)
+            assert scaled.lam_final == base.lam_final * 4.0**k
+            np.testing.assert_array_equal(scaled.labels_final, base.labels_final)
+            assert (scaled.m_final, scaled.iterations) == (base.m_final, base.iterations)
