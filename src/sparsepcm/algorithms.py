@@ -252,6 +252,7 @@ def run(data: DataSet, config: AlgoConfig) -> RunReport:
         m_ini=config.m_ini,
         m_final=len(gamma),
         iterations=len(history),
+        converged=bool(move < config.theta_tol),
         fcm_iterations=fcm.iterations,
         fcm_converged=fcm.converged,
         wall_time=wall,

@@ -369,6 +369,11 @@ def main(argv=None) -> int:
                 + (f" md={md:.4f}" if md is not None else "")
             )
         print(line)
+        capped = [loop for loop, ok in (("main loop", r.converged), ("FCM", r.fcm_converged))
+                  if not ok]
+        if capped:
+            print(f"warning: {r.algorithm} m_ini={r.m_ini}: {' and '.join(capped)} "
+                  f"stopped at the step cap without converging", file=sys.stderr)
     return 0
 
 

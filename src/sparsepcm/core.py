@@ -135,15 +135,16 @@ class RunReport:
     """Everything a finished run reports back.
 
     theta_final, gamma_final and lam_final are the returned model; the
-    memberships export recomputes its memberships from them.
-    fcm_iterations and fcm_converged tell whether the FCM initializer
-    stopped on its tolerance or at its step cap.
+    memberships export recomputes its memberships from them. converged and
+    fcm_converged tell whether the main loop and the FCM initializer
+    stopped on their tolerance or at their step cap.
     """
 
     algorithm: str
     m_ini: int
     m_final: int
     iterations: int
+    converged: bool
     fcm_iterations: int
     fcm_converged: bool
     wall_time: float

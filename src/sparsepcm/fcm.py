@@ -1,7 +1,7 @@
 """Fuzzy c-means, the initializer of the possibilistic algorithms.
 
-FCM seeds the representatives, and its memberships weight the initial
-scale parameters.
+FCM, accelerated by SQUAREM under a descent guard, seeds the
+representatives, and its memberships weight the initial scale parameters.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from .core import (
 )
 
 _DENOM_FLOOR = 1e-12
+# factor on SQUAREM's step bound; at 4, the usual one, a run changed FCM optimum
+_STEP_GROWTH = 2.0
 
 
 @dataclass(frozen=True)
@@ -64,37 +66,78 @@ def _fcm_memberships(d: np.ndarray, out=None) -> np.ndarray:
     return u
 
 
+def _fcm_step(data: DataSet, theta: np.ndarray, d: np.ndarray, w: np.ndarray):
+    """(G(theta), J2(theta)) of one FCM step G, computed in the buffers d and
+    w; J2 = sum_ij u_ij^2 d_ij is the FCM objective at theta."""
+    squared_distances(data, theta, out=d)
+    _fcm_memberships(d, out=w)
+    # u_i1 d_i1 = 1 / sum_j 1/d_ij is row i's term of J2, 0 in a zero-distance row
+    cost = w[:, 0] @ d[:, 0]
+    np.multiply(w, w, out=w)
+    denom = w.sum(axis=0)
+    if np.any(denom < _DENOM_FLOOR):
+        raise DegenerateClusterError("FCM cluster lost all membership mass")
+    return (w.T @ data.points) / denom[:, None], cost
+
+
 def run_fcm(data: DataSet, m: int, tol: float, seed: int = 0, max_iter: int = 300) -> FcmResult:
     """Standard FCM with fuzzifier 2 on squared Euclidean distances.
 
     Representatives start at m distinct data points drawn by the seeded
-    generator; iteration stops when no representative moves more than
-    tol, a distance in data units, or after max_iter steps.
+    generator. A SQUAREM cycle (Varadhan & Roland, Scand. J. Stat. 35
+    (2008) 335-353) takes the FCM steps theta1 = G(theta0) and theta2 =
+    G(theta1), extrapolates to theta' = theta0 + 2a r + a^2 v with
+    r = theta1 - theta0, v = theta2 - 2 theta1 + theta0 and a = |r|/|v| in
+    [1, step_max], and keeps G(theta') only if J2(theta') <= J2(theta0),
+    else goes on from theta2. step_max starts at 1; a kept step at it
+    doubles it, a rejected one halves it down to 1. The run returns the
+    first step G that moves no representative by tol (in data units), or
+    stops after max_iter evaluations of G.
     """
     if not 1 <= m <= data.n_points:
         raise ConfigurationError(f"m={m} must satisfy 1 <= m <= N={data.n_points}")
-    x = data.points
-    theta = _seed_representatives(data, m, seed)
+    # a plain step's theta lies in the points' box: its squared diagonal bounds d
+    with np.errstate(over="ignore"):
+        span = np.ptp(data.points, axis=0)
+        if not np.isfinite(span @ span):
+            raise NumericalError(f"point span {span.max():.3g} overflows float64 when squared")
     # every step reuses these two N x m buffers. d is column-major, so the
     # per-feature differences run along the N points in long inner loops.
     # w is row-major: the order in which numpy adds its row and column sums,
     # and so their last bits, depends on the layout
     d = np.empty((data.n_points, m), order="F")
     w = np.empty((data.n_points, m))
-    it, converged = 0, False
-    for it in range(1, max_iter + 1):
-        squared_distances(data, theta, out=d)
-        _fcm_memberships(d, out=w)
-        np.multiply(w, w, out=w)
-        denom = w.sum(axis=0)
-        if np.any(denom < _DENOM_FLOOR):
-            raise DegenerateClusterError("FCM cluster lost all membership mass")
-        new_theta = (w.T @ x) / denom[:, None]
-        move = np.sqrt(((new_theta - theta) ** 2).sum(axis=1)).max()
-        theta = new_theta
-        converged = bool(move < tol)
-        if converged:
+    it, converged, step_max = 0, False, 1.0
+
+    def step(theta):
+        nonlocal it, converged
+        it += 1
+        new_theta, cost = _fcm_step(data, theta, d, w)
+        converged = bool(np.sqrt(((new_theta - theta) ** 2).sum(axis=1)).max() < tol)
+        return new_theta, cost
+
+    theta = _seed_representatives(data, m, seed)
+    while not converged and it < max_iter:
+        theta0 = theta
+        theta, cost0 = step(theta0)
+        if converged or it == max_iter:
             break
+        theta1 = theta
+        theta, _ = step(theta1)
+        if converged or it == max_iter:
+            break
+        r, v = theta1 - theta0, theta - 2.0 * theta1 + theta0
+        # theta' may leave the data box, lose a cluster or leave float range
+        with np.errstate(all="ignore"):
+            alpha = min(max(np.linalg.norm(r) / np.linalg.norm(v), 1.0), step_max)
+            try:
+                theta3, cost = step(theta0 + 2.0 * alpha * r + alpha**2 * v)
+            except (DegenerateClusterError, NumericalError):
+                theta3, cost = theta, np.nan
+            kept = bool(cost <= cost0) and np.isfinite(theta3).all()
+        if alpha == step_max:
+            step_max = step_max * _STEP_GROWTH if kept else max(1.0, step_max / _STEP_GROWTH)
+        theta, converged = (theta3, converged) if kept else (theta, False)
     # memberships consistent with the final representatives
     d = squared_distances(data, theta)
     return FcmResult(theta=theta, u_fcm=_fcm_memberships(d), d=d,

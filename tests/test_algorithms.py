@@ -187,8 +187,8 @@ def test_spcm_two_blob_run_shape(two_blobs):
     assert report.metrics is not None
     assert report.metrics["sr"] >= 92.0
     assert len(report.history) == report.iterations
-    # on this draw the FCM initializer stops at its 300-step cap
-    assert (report.fcm_iterations, report.fcm_converged) == (300, False)
+    # plain FCM stopped at its 300-step cap on this draw; SQUAREM converges
+    assert report.fcm_converged and report.fcm_iterations < 300
     # sparsity shows up in the final labels: far tail points sit outside
     # every influence zone and stay unassigned
     assert (report.labels_final == 0).any()

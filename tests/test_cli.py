@@ -216,6 +216,29 @@ def test_generator_spec_without_labeled_points(tmp_path):
     assert doc["reports"][0]["metrics"] is None
 
 
+def test_main_warns_once_per_run_stopped_at_a_cap(tmp_path, capsys):
+    # run 0 stops its main loop after one iteration; run 1 converges
+    data_csv = _write_blob_csv(tmp_path / "blobs.csv")
+    config = {
+        "schema_version": 1,
+        "runs": [
+            {"algorithm": "spcm", "m_ini": 4, "max_iter": 1},
+            {"algorithm": "spcm", "m_ini": 4},
+        ],
+        "input": {"csv": str(data_csv)},
+        "output_dir": str(tmp_path / "out"),
+        "emit": ["report"],
+    }
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps(config))
+    assert main(["--config", str(cpath)]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
+    assert len(warnings) == 1
+    assert "main loop" in warnings[0] and "FCM" not in warnings[0]
+    doc = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [r["converged"] for r in doc["reports"]] == [False, True]
+
+
 def test_failed_run_does_not_shift_later_artifacts(tmp_path, capsys):
     # run 0 fails (m_ini > N); run 1's artifacts keep its own index and
     # its own p, so its memberships reproduce its labels

@@ -98,6 +98,7 @@ def test_run_report_round_trips_through_dict():
         m_ini=3,
         m_final=1,
         iterations=7,
+        converged=True,
         fcm_iterations=300,
         fcm_converged=False,
         wall_time=0.01,
@@ -112,6 +113,7 @@ def test_run_report_round_trips_through_dict():
     doc = json.loads(json.dumps(report.to_dict()))
     assert doc["algorithm"] == "spcm"
     assert doc["m_final"] == 1
+    assert doc["converged"] is True
     assert doc["fcm_iterations"] == 300
     assert doc["fcm_converged"] is False
     assert doc["labels_final"] == [1, 1, 0]

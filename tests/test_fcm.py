@@ -1,8 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fcm_oracle
 from sparsepcm import (
+    ClusteringError,
     ConfigurationError,
     DataSet,
     DegenerateClusterError,
@@ -88,31 +93,112 @@ def _one_dimensional_set():
     ])[:, None])
 
 
-@pytest.mark.parametrize("case, m, seed", [
+_ORACLE_CASES = [
     ("experiment1", 2, 0),
     ("one-dimensional", 3, 0),
     ("iris", 10, 0),
-    # these three stop at the 300-step cap
+    # plain FCM stops at its 300-step cap on these three
     ("example1", 5, 0),
     ("example1", 5, 1),
     ("example1", 5, 2),
-])
-def test_run_fcm_matches_allocating_oracle(case, m, seed, tiny_two_cluster_set, iris_data):
+]
+
+
+def _oracle_case_data(case, seed, tiny_two_cluster_set, iris_data):
     if case == "example1":
-        data = make_fixture(case, seed=seed)
-    else:
-        data = {
-            "experiment1": tiny_two_cluster_set,
-            "one-dimensional": _one_dimensional_set(),
-            "iris": iris_data,
-        }[case]
-    res = run_fcm(data, m, tol=1e-6, seed=seed)
-    theta, u_fcm, d, iterations = fcm_oracle.run_fcm(data, m, tol=1e-6, seed=seed)
+        return make_fixture(case, seed=seed)
+    return {
+        "experiment1": tiny_two_cluster_set,
+        "one-dimensional": _one_dimensional_set(),
+        "iris": iris_data,
+    }[case]
+
+
+def _j2(data, theta):
+    """The FCM objective sum_ij u_ij^2 d_ij at the memberships theta gives."""
+    d = fcm_oracle.squared_distances(data, theta)
+    u = fcm_oracle.memberships(d)
+    return (u * u * d).sum()
+
+
+@pytest.mark.parametrize("max_iter", [1, 2])
+@pytest.mark.parametrize("case, m, seed", _ORACLE_CASES)
+def test_run_fcm_plain_steps_match_allocating_oracle(
+        case, m, seed, max_iter, tiny_two_cluster_set, iris_data):
+    """Within two evaluations no extrapolation happens, so these are the
+    plain map G, bit for bit."""
+    data = _oracle_case_data(case, seed, tiny_two_cluster_set, iris_data)
+    res = run_fcm(data, m, tol=1e-6, seed=seed, max_iter=max_iter)
+    theta, u_fcm, d, iterations = fcm_oracle.run_fcm(
+        data, m, tol=1e-6, seed=seed, max_iter=max_iter)
     np.testing.assert_array_equal(res.theta, theta)
     np.testing.assert_array_equal(res.u_fcm, u_fcm)
     np.testing.assert_array_equal(res.d, d)
-    assert res.iterations == iterations
-    assert res.converged == (iterations < 300)
+    assert res.iterations == iterations == max_iter
+
+
+@pytest.mark.parametrize("case, m, seed", _ORACLE_CASES)
+def test_run_fcm_matches_allocating_oracle(case, m, seed, tiny_two_cluster_set, iris_data):
+    """The accelerated run reaches the plain map's fixed point: converged,
+    a fixed point of one oracle step, no worse in J2 than 300 plain steps
+    and within 1e-3 of plain FCM run to convergence."""
+    data = _oracle_case_data(case, seed, tiny_two_cluster_set, iris_data)
+    tol = 1e-6
+    res = run_fcm(data, m, tol=tol, seed=seed)
+    assert res.converged
+    assert res.iterations < 300
+    u = fcm_oracle.memberships(fcm_oracle.squared_distances(data, res.theta))
+    w = u * u
+    step = (w.T @ data.points) / w.sum(axis=0)[:, None]
+    assert np.linalg.norm(step - res.theta, axis=1).max() < tol
+    capped, *_ = fcm_oracle.run_fcm(data, m, tol=tol, seed=seed)
+    assert _j2(data, res.theta) <= _j2(data, capped) * (1.0 + 1e-12)
+    full, *_, iterations = fcm_oracle.run_fcm(data, m, tol=tol, seed=seed, max_iter=5000)
+    assert iterations < 5000
+    np.testing.assert_allclose(res.theta, full, rtol=0.0, atol=1e-3)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    draw=st.integers(0, 2**32 - 1),
+    k=st.integers(2, 3),
+    per_blob=st.integers(1, 25),
+    # 0 gives duplicate points, 1e-160 subnormal distances
+    spread=st.sampled_from([0.0, 1e-160]) | st.floats(0.0, 0.45),
+    m=st.integers(1, 6),
+)
+def test_run_fcm_raises_only_where_oracle_raises(draw, k, per_blob, spread, m):
+    """Small blob draws like the benchmark's small-n case: no warning, no
+    failure the plain loop does not also hit, and representatives inside
+    the data box."""
+    rng = np.random.default_rng(draw)
+    centers = np.array([(0.0, 0.0), (4.0, 0.0), (2.0, 3.5)])[:k]
+    data = DataSet(points=np.repeat(centers, per_blob, axis=0)
+                   + rng.normal(scale=spread, size=(k * per_blob, 2)))
+    m = min(m, data.n_points)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            res = run_fcm(data, m, tol=1e-6, seed=draw)
+        except ClusteringError as exc:
+            with pytest.raises(type(exc)):
+                fcm_oracle.run_fcm(data, m, tol=1e-6, seed=draw)
+            return
+    slack = 1e-12 * np.abs(data.points).max()
+    assert (res.theta >= data.points.min(axis=0) - slack).all()
+    assert (res.theta <= data.points.max(axis=0) + slack).all()
+
+
+@pytest.mark.parametrize("scale, overflows", [(1e160, True), (1e150, False)])
+def test_run_fcm_rejects_a_span_whose_square_overflows(scale, overflows):
+    points = np.random.default_rng(0).normal(size=(40, 2)) * scale
+    data = DataSet(points=points)
+    if overflows:
+        with pytest.raises(NumericalError, match="span .* overflows"):
+            run_fcm(data, 3, tol=1e-6)
+    else:
+        res = run_fcm(data, 3, tol=1e-6 * scale)
+        assert np.isfinite(res.d).all()
 
 
 def test_fcm_memberships_split_zero_distance_rows():
