@@ -5,11 +5,11 @@ lam = 0 configuration is the plain adaptive baseline).
 One loop runs all four algorithms: seed representatives with FCM, set
 the scale parameters from the FCM memberships, then alternate membership
 and representative updates until no representative moves more than
-theta_tol. pcm is spcm with K = 0. The adaptive algorithms (sapcm, apcm)
-additionally relabel points, eliminate clusters that are nobody's
-most-compatible choice, and re-estimate the per-cluster scales every
-iteration; the fixed-scale ones (pcm, spcm) instead drop emptied
-clusters and merge duplicates once, at the end of the run.
+theta_tol. pcm is spcm with K = 0. One rule eliminates clusters: each
+iteration drops, on the spot, every cluster that lost its support. The
+adaptive algorithms (sapcm, apcm) then relabel the points and
+re-estimate the per-cluster scales; the fixed-scale ones (pcm, spcm)
+merge duplicates once, at the end of the run.
 
 The state of an iteration is the representatives theta (m x l), their
 scales gamma (m) and the sparsity weight lam; run keeps the three as
@@ -31,6 +31,7 @@ from .core import (
     DataSet,
     DegenerateRunError,
     IterationRecord,
+    NumericalError,
     RunReport,
     squared_distances,
 )
@@ -91,13 +92,11 @@ class AlgoConfig:
             raise ConfigurationError("theta_tol, max_iter must be positive")
 
 
-def update_theta(u: np.ndarray, data: DataSet, theta_prev: np.ndarray) -> np.ndarray:
-    """Membership-weighted means; all-zero columns keep their old row."""
-    colsum = u.sum(axis=0)
-    theta = theta_prev.copy()
-    live = colsum > 0.0
-    theta[live] = (u[:, live].T @ data.points) / colsum[live, None]
-    return theta
+def update_theta(u: np.ndarray, data: DataSet, live: np.ndarray) -> np.ndarray:
+    """Membership-weighted means of the columns flagged in live."""
+    # the column sums of the full u: numpy sums the column-major u[:, live]
+    # in another order, and so to other last bits
+    return (u[:, live].T @ data.points) / u.sum(axis=0)[live, None]
 
 
 def assign_labels(u: np.ndarray) -> np.ndarray:
@@ -110,17 +109,13 @@ def assign_labels(u: np.ndarray) -> np.ndarray:
     return np.where(u[np.arange(u.shape[0]), best] > 0.0, best + 1, 0)
 
 
-def eliminate_clusters(theta: np.ndarray, labels: np.ndarray, keep: np.ndarray):
-    """Drop the representatives not flagged in keep; renumber the labels of
-    the rest.
-
-    Returns (theta', labels'). Points labeled with a dropped cluster get
-    label 0.
-    """
+def eliminate_clusters(labels: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Renumber the labels to the clusters flagged in keep, in order; points
+    labeled with a dropped cluster get label 0."""
     # old cluster id -> new contiguous id (0 stays 0)
     remap = np.zeros(keep.size + 1, dtype=int)
     remap[1:][keep] = np.arange(1, int(keep.sum()) + 1)
-    return theta[keep], remap[labels]
+    return remap[labels]
 
 
 def adapt_eta(data: DataSet, labels: np.ndarray, m: int, floor: float) -> np.ndarray:
@@ -138,6 +133,17 @@ def adapt_eta(data: DataSet, labels: np.ndarray, m: int, floor: float) -> np.nda
     return np.maximum(eta, floor)
 
 
+def _adaptive_gamma(eta_hat: float, eta: np.ndarray, alpha: float) -> np.ndarray:
+    """The scales eta_hat * eta / alpha, all in (0, inf) or a NumericalError."""
+    with np.errstate(over="ignore"):
+        gamma = eta_hat * eta / alpha
+    if not np.all((gamma > 0.0) & (gamma < np.inf)):
+        raise NumericalError(
+            f"scales eta_hat * eta / alpha leave float64 range at alpha={alpha:.3g}"
+        )
+    return gamma
+
+
 def remove_duplicates(theta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Greedy merge of representatives that converged onto one cluster;
     returns the boolean mask of the representatives it keeps.
@@ -151,7 +157,7 @@ def remove_duplicates(theta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     zone of influence is not a separate cluster.
     """
     keep = np.zeros(len(gamma), dtype=bool)
-    radius = np.sqrt(np.maximum(gamma, 0.0))
+    radius = np.sqrt(gamma)
     for j in range(len(gamma)):
         keep[j] = not any(
             np.linalg.norm(theta[j] - theta[i])
@@ -163,43 +169,29 @@ def remove_duplicates(theta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
 
 def _metrics_for(data: DataSet, labels: np.ndarray, theta: np.ndarray):
     """RM/SR/MD over the points with a positive true label; None when
-    the data has no such point."""
-    if data.truth_labels is None:
+    the data has no such point. MD needs the true centers."""
+    if data.truth_labels is None or not (data.truth_labels > 0).any():
         return None
-    mask = data.truth_labels > 0
-    if not mask.any():
-        return None
-    truth = data.truth_labels[mask]
-    pred = labels[mask]
-    if data.truth_centers is not None:
-        m_true = data.truth_centers.shape[0]
-    else:
-        m_true = int(truth.max())
-    rm = rand_measure(pred, truth)
-    sr, sr_pc = success_rate(pred, truth, m_true)
-    md = (
-        mean_distance(theta, data.truth_centers)
-        if data.truth_centers is not None
-        else None
-    )
-    return {"rm": rm, "sr": sr, "sr_per_cluster": sr_pc, "md": md}
+    mask, centers = data.truth_labels > 0, data.truth_centers
+    truth, pred = data.truth_labels[mask], labels[mask]
+    sr, sr_pc = success_rate(pred, truth, int(truth.max()) if centers is None else len(centers))
+    md = None if centers is None else mean_distance(theta, centers)
+    return {"rm": rand_measure(pred, truth), "sr": sr, "sr_per_cluster": sr_pc, "md": md}
 
 
 def run(data: DataSet, config: AlgoConfig) -> RunReport:
     """Run the configured algorithm.
 
-    pcm and spcm keep the scales FCM gives them, with lam fixed from the
-    smallest one (zero for pcm). Representatives whose membership column
-    empties are frozen in place; if still frozen at convergence they are
-    dropped before duplicate merging, and the final labels come from one
-    membership pass at the returned model.
-
-    sapcm and apcm re-estimate the scales every iteration from each
-    cluster's most-compatible points, lam follows the smallest current
-    scale, and clusters that are no point's best match are removed on
-    the spot. Their final labels are the last iteration's.
-
-    Either way, points with an all-zero membership row get label 0.
+    Each iteration drops, on the spot, every cluster that lost its
+    support: for pcm and spcm one whose membership column is all zero,
+    for sapcm and apcm one that is no point's best match. The rest move
+    to their membership-weighted means. pcm and spcm keep the scales FCM
+    gives them, with lam fixed from the smallest one (zero for pcm); after
+    the loop they merge duplicates and label the points by one membership
+    pass at the returned model. sapcm and apcm re-estimate the scales every
+    iteration from each cluster's most-compatible points, lam follows the
+    smallest one, and their labels are the last iteration's. A point with
+    an all-zero membership row gets label 0.
     """
     t0 = time.perf_counter()
     adaptive = config.algorithm in ("sapcm", "apcm")
@@ -207,7 +199,7 @@ def run(data: DataSet, config: AlgoConfig) -> RunReport:
     if adaptive:
         eta = eta_init_sapcm(fcm)
         eta_hat = float(eta.min())
-        gamma = eta_hat * eta / config.alpha
+        gamma = _adaptive_gamma(eta_hat, eta, config.alpha)
     else:
         gamma = gamma_init_pcm(fcm)
     theta = fcm.theta
@@ -215,7 +207,6 @@ def run(data: DataSet, config: AlgoConfig) -> RunReport:
     history = []
     for t in range(config.max_iter):
         u = update_memberships(squared_distances(data, theta), gamma, lam, config.p)
-        new_theta = update_theta(u, data, theta)
         if adaptive:
             labels = assign_labels(u)
             live = np.bincount(labels, minlength=len(gamma) + 1)[1:] > 0
@@ -225,23 +216,21 @@ def run(data: DataSet, config: AlgoConfig) -> RunReport:
             raise DegenerateRunError(
                 "no point has a compatible cluster: every membership is zero"
             )
+        new_theta = update_theta(u, data, live)
         # movement over the live clusters only, matched by identity
-        move = float(np.linalg.norm(new_theta[live] - theta[live], axis=1).max())
-        history.append(IterationRecord(
-            iteration=t, theta=theta.copy(), gamma=gamma.copy(),
-            lam=lam, m=len(gamma), max_move=move,
-        ))
-        theta = new_theta
+        move = float(np.linalg.norm(new_theta - theta[live], axis=1).max())
+        history.append(IterationRecord(iteration=t, theta=theta, gamma=gamma, lam=lam,
+                                       m=len(gamma), max_move=move))
+        theta, gamma = new_theta, gamma[live]
         if adaptive:
-            theta, labels = eliminate_clusters(theta, labels, live)
+            labels = eliminate_clusters(labels, live)
             # floor 1e-3 * theta_tol: exactly 1e-9 at the default, unlike theta_tol / 1000
             eta = adapt_eta(data, labels, len(theta), 1e-3 * config.theta_tol)
-            gamma = eta_hat * eta / config.alpha
+            gamma = _adaptive_gamma(eta_hat, eta, config.alpha)
             lam = compute_lambda(float(gamma.min()), config.p, config.K)
         if move < config.theta_tol:
             break
     if not adaptive:
-        theta, gamma = theta[live], gamma[live]
         keep = remove_duplicates(theta, gamma)
         theta, gamma = theta[keep], gamma[keep]
         u = update_memberships(squared_distances(data, theta), gamma, lam, config.p)

@@ -96,11 +96,16 @@ def run_fcm(data: DataSet, m: int, tol: float, seed: int = 0, max_iter: int = 30
     """
     if not 1 <= m <= data.n_points:
         raise ConfigurationError(f"m={m} must satisfy 1 <= m <= N={data.n_points}")
-    # a plain step's theta lies in the points' box: its squared diagonal bounds d
+    # a plain step's theta lies in the points' box up to the rounding of a
+    # weighted mean, under 4 N eps |x|: then the squared diagonal bounds every
+    # distance and move, and N times it every sum of them
     with np.errstate(over="ignore"):
-        span = np.ptp(data.points, axis=0)
-        if not np.isfinite(span @ span):
-            raise NumericalError(f"point span {span.max():.3g} overflows float64 when squared")
+        span, size = np.ptp(data.points, axis=0), np.abs(data.points).max(axis=0)
+        reach = span + 4.0 * data.n_points * np.finfo(float).eps * size
+        if not np.isfinite(data.n_points * (reach @ reach)):
+            raise NumericalError(f"point span {span.max():.3g} plus the rounding slack of "
+                                 f"coordinates up to {size.max():.3g} overflows float64 "
+                                 f"when squared and summed over {data.n_points} points")
     # every step reuses these two N x m buffers. d is column-major, so the
     # per-feature differences run along the N points in long inner loops.
     # w is row-major: the order in which numpy adds its row and column sums,

@@ -75,10 +75,12 @@ def update_memberships(d: np.ndarray, gamma: np.ndarray, lam: float, p: float) -
     distances d, the m scales gamma, the sparsity weight lam and the norm
     exponent p."""
     d = np.asarray(d, dtype=float)
+    # d/gamma past float range is the exact limit of a zero membership
+    with np.errstate(over="ignore"):
+        r = d / gamma[None, :]
     if lam == 0.0:
-        return np.exp(-d / gamma[None, :])
+        return np.exp(-r)
     q = 1.0 - p
-    r = d / gamma[None, :]
     # lam*p*q/gamma can underflow to 0 for vanishing lam; ln 0 = -inf is
     # the correct limit and gives z = -0, W0 = 0, u = exp(-r)
     with np.errstate(divide="ignore"):

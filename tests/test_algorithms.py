@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -91,19 +94,18 @@ def test_assign_labels_means():
 
 
 def test_eliminate_clusters_renumbers():
-    theta = np.array([[0.0], [2.5], [5.0]])
     u = np.array([
         [0.9, 0.0, 0.0],
         [0.8, 0.0, 0.0],
         [0.0, 0.0, 0.7],
     ])
     labels = assign_labels(u)
-    keep = np.bincount(labels, minlength=theta.shape[0] + 1)[1:] > 0
+    keep = np.bincount(labels, minlength=u.shape[1] + 1)[1:] > 0
     assert keep.tolist() == [True, False, True]
-    new_theta, labels = eliminate_clusters(theta, labels, keep)
-    assert new_theta.shape[0] == 2
-    assert labels.tolist() == [1, 1, 2]
-    np.testing.assert_allclose(new_theta[:, 0], [0.0, 5.0])
+    assert eliminate_clusters(labels, keep).tolist() == [1, 1, 2]
+    # a dropped cluster's points and the noise label 0 both map to 0
+    keep = np.array([False, True, True])
+    assert eliminate_clusters(np.array([0, 1, 2, 3]), keep).tolist() == [0, 0, 1, 2]
 
 
 def test_adapt_eta_mean_absolute_deviation():
@@ -127,13 +129,34 @@ def test_run_raises_when_no_cluster_is_left(algorithm, monkeypatch):
         run(_blob(n=40), AlgoConfig(algorithm, 3, alpha=1.0, seed=0))
 
 
-def test_update_theta_freezes_dead_columns():
+def test_update_theta_returns_only_live_rows():
     data = DataSet(points=np.array([[0.0, 0.0], [4.0, 0.0]]))
-    theta_prev = np.array([[1.0, 1.0], [7.0, 7.0]])
-    u = np.array([[0.5, 0.0], [0.5, 0.0]])
-    theta = update_theta(u, data, theta_prev)
-    np.testing.assert_allclose(theta[0], [2.0, 0.0])
-    np.testing.assert_allclose(theta[1], [7.0, 7.0])  # untouched
+    u = np.array([[0.5, 0.0, 0.25], [0.5, 0.0, 0.75]])
+    theta = update_theta(u, data, np.array([True, False, True]))
+    np.testing.assert_allclose(theta, [[2.0, 0.0], [3.0, 0.0]])
+    # a column with mass that is not live is left out as well
+    theta = update_theta(u, data, np.array([False, False, True]))
+    np.testing.assert_allclose(theta, [[3.0, 0.0]])
+
+
+@pytest.mark.parametrize("algorithm", ["pcm", "spcm"])
+def test_emptied_column_is_dropped_on_the_spot(algorithm, monkeypatch):
+    """A start that leaves one representative with no point inside its
+    zero-membership radius loses it in the first iteration, not at the end."""
+    far = np.array([[1e3, 1e3]])
+
+    def start_with_a_far_representative(data, m, tol, seed=0, max_iter=300):
+        res = run_fcm(data, m, tol, seed=seed, max_iter=max_iter)
+        # the far row keeps a scale fit for the blob, so no point reaches it
+        return replace(res, theta=np.vstack([res.theta[:-1], far]))
+
+    monkeypatch.setattr("sparsepcm.algorithms.run_fcm", start_with_a_far_representative)
+    report = run(_blob(n=60), AlgoConfig(algorithm, 3))
+    counts = [rec.m for rec in report.history]
+    assert counts[0] == 3
+    assert len(counts) > 1 and all(m == 2 for m in counts[1:])
+    assert not np.isclose(report.theta_final, far).all(axis=1).any()
+    assert np.abs(report.theta_final).max() < 5.0
 
 
 # ------------------------------------------------------- duplicate merge
@@ -246,9 +269,7 @@ def test_coincident_representatives_larger_scale_wins():
     labels = assign_labels(u)
     keep = np.bincount(labels, minlength=len(gamma) + 1)[1:] > 0
     assert keep.tolist() == [False, True]
-    new_theta, labels = eliminate_clusters(theta, labels, keep)
-    assert new_theta.shape[0] == 1
-    assert (labels == 1).all()
+    assert (eliminate_clusters(labels, keep) == 1).all()
 
 
 def test_spcm_far_outlier_is_unassigned():
@@ -279,6 +300,46 @@ def test_subnormal_distances_raise_numerical_error(algorithm, alpha):
     data = DataSet(points=_blob().points * 1e-160)
     with pytest.raises(NumericalError, match="float64 range"):
         run(data, AlgoConfig(algorithm, 3, alpha=alpha, seed=0))
+
+
+@pytest.mark.parametrize("offset", [1e170, 1e300, 1e150])
+def test_offset_past_the_rounding_slack_raises_numerical_error(offset):
+    # one rounding step of a weighted mean near 1e170 is about 1e154, and its
+    # square overflows; the run must say so before any distance does
+    points = np.random.default_rng(0).normal(size=(40, 2)) + offset
+    if offset > 1e160:
+        with pytest.raises(NumericalError, match=re.escape(f"coordinates up to {offset:.3g}")):
+            run(DataSet(points=points), AlgoConfig("pcm", 3))
+    else:
+        report = run(DataSet(points=points), AlgoConfig("pcm", 3))
+        assert np.isfinite(report.theta_final).all()
+
+
+def test_distances_whose_sum_overflows_raise_numerical_error():
+    # each squared distance fits in float64, their sum over 40 points does not
+    points = np.array([[-5e153], [5e153]] * 20)
+    with pytest.raises(NumericalError, match="summed over 40 points"):
+        run(DataSet(points=points), AlgoConfig("pcm", 1))
+
+
+@pytest.mark.parametrize("scale, alpha", [
+    (1e100, 1e-300),  # gamma overflows
+    (1e-100, 1e300),  # gamma underflows to 0
+])
+def test_alpha_pushing_gamma_out_of_range_raises_numerical_error(scale, alpha):
+    points = np.random.default_rng(0).normal(size=(40, 2)) * scale
+    with pytest.raises(NumericalError, match=re.escape(f"alpha={alpha:.3g}")):
+        run(DataSet(points=points), AlgoConfig("apcm", 3, alpha=alpha))
+
+
+def test_tiny_gamma_gives_zero_memberships_without_overflow():
+    # gamma near 1e-308 puts every d/gamma past float range: u = 0 exactly,
+    # so no point has a compatible cluster
+    points = np.random.default_rng(0).normal(size=(40, 2))
+    with pytest.raises(DegenerateRunError, match="no point has a compatible cluster"):
+        run(DataSet(points=points), AlgoConfig("sapcm", 3, alpha=1e308))
+    u = update_memberships(np.array([[1.0, 0.0]]), np.array([1e-308, 1e-308]), 0.0, 0.5)
+    np.testing.assert_array_equal(u, [[0.0, 1.0]])
 
 
 # ----------------------------------------------- 17-point set snapshots

@@ -4,10 +4,14 @@ Six suites, each run at a thousand cases: solver monotonicity in the
 distance, solver monotonicity in the scale, the zero-vs-root decision
 trace, the cluster count trajectory of the adaptive sparse run, theta
 updates staying inside the data box, and metric invariance under
-relabelings. The acceptance suite re-runs these same functions.
+relabelings. The acceptance suite calls these same functions; each
+suite runs once per session, and a second call replays its outcome.
 
-A seventh check, on fixed draws, scales whole runs by powers of two.
+A seventh check, on fixed draws, scales whole runs by powers of two,
+and an eighth suite feeds whole runs degenerate inputs.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from hypothesis import strategies as st
 import membership_oracle as oracle
 from sparsepcm import DataSet
 from sparsepcm.algorithms import AlgoConfig, run, update_theta
+from sparsepcm.core import ClusteringError
 from sparsepcm.metrics import rand_measure, success_rate
 from sparsepcm.solver import compute_lambda
 
@@ -27,11 +32,32 @@ _SUITE = settings(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 
+_OUTCOMES = {}
+
+
+def _once(suite):
+    """suite, run at most once per session: later calls return or raise as
+    the first did. The suites are derandomized, so a rerun adds nothing."""
+    @functools.wraps(suite)
+    def replay():
+        if suite not in _OUTCOMES:
+            try:
+                suite()
+            except Exception as exc:
+                _OUTCOMES[suite] = exc
+                raise
+            _OUTCOMES[suite] = None
+        elif _OUTCOMES[suite] is not None:
+            raise _OUTCOMES[suite]
+    return replay
+
+
 # memberships compared across two solves, or against the oracle's brentq
 # root and threshold, each carry their own rounding; 1e-6 in u absorbs it
 _U_SLACK = 1e-6
 
 
+@_once
 @_SUITE
 @given(
     d=st.floats(0.0, 50.0),
@@ -47,6 +73,7 @@ def test_membership_nonincreasing_in_distance(d, step, gamma, p, K):
     assert far <= near + _U_SLACK
 
 
+@_once
 @_SUITE
 @given(
     d=st.floats(0.0, 50.0),
@@ -63,6 +90,7 @@ def test_membership_nondecreasing_in_gamma(d, gamma, widen, p, K):
     assert wide >= narrow - _U_SLACK
 
 
+@_once
 @_SUITE
 @given(
     d=st.floats(0.0, 50.0),
@@ -86,6 +114,7 @@ def test_zero_choice_matches_threshold_rule(d, gamma, p, K):
         assert root is None or root <= thr + _U_SLACK
 
 
+@_once
 @_SUITE
 @given(
     seed=st.integers(0, 10**6),
@@ -111,6 +140,7 @@ def test_adaptive_cluster_count_never_increases(
     assert report.m_final <= m_ini
 
 
+@_once
 @_SUITE
 @given(
     seed=st.integers(0, 10**6),
@@ -122,20 +152,17 @@ def test_adaptive_cluster_count_never_increases(
 def test_theta_update_stays_inside_data_box(seed, n, dim, m, dead):
     rng = np.random.default_rng(seed)
     data = DataSet(points=rng.normal(0.0, 3.0, size=(n, dim)))
-    theta_prev = rng.normal(0.0, 30.0, size=(m, dim))  # may start far outside
     u = rng.uniform(0.1, 1.0, size=(n, m))
-    dead_cols = [j for j in range(m) if dead[j % len(dead)]]
-    u[:, dead_cols] = 0.0
-    theta = update_theta(u, data, theta_prev)
+    live = np.array([not dead[j % len(dead)] for j in range(m)])
+    u[:, ~live] = 0.0
+    theta = update_theta(u, data, live)
+    assert theta.shape == (live.sum(), dim)
     lo, hi = data.points.min(axis=0), data.points.max(axis=0)
-    for j in range(m):
-        if j in dead_cols:
-            np.testing.assert_array_equal(theta[j], theta_prev[j])
-        else:
-            assert np.all(theta[j] >= lo - 1e-9)
-            assert np.all(theta[j] <= hi + 1e-9)
+    assert np.all(theta >= lo - 1e-9)
+    assert np.all(theta <= hi + 1e-9)
 
 
+@_once
 @_SUITE
 @given(
     seed=st.integers(0, 10**6),
@@ -197,3 +224,38 @@ def test_runs_are_equivariant_under_power_of_two_scaling(algorithm):
             assert scaled.lam_final == base.lam_final * 4.0**k
             np.testing.assert_array_equal(scaled.labels_final, base.labels_final)
             assert (scaled.m_final, scaled.iterations) == (base.m_final, base.iterations)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    algorithm=st.sampled_from(["pcm", "spcm", "sapcm", "apcm"]),
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 12),
+    dim=st.integers(1, 3),
+    m_ini=st.integers(1, 6),
+    copies=st.integers(1, 3),
+    constant_column=st.booleans(),
+    offset=st.sampled_from([0.0, 1.0]) | st.integers(-300, 300).map(lambda e: 10.0**e),
+    scale=st.integers(-150, 150).map(lambda e: 10.0**e),
+    alpha=st.integers(-300, 300).map(lambda e: 10.0**e),
+)
+def test_degenerate_inputs_give_a_finite_model_or_a_clustering_error(
+    algorithm, seed, n, dim, m_ini, copies, constant_column, offset, scale, alpha
+):
+    """Duplicates, N <= m_ini, 1-D data, a constant column, offsets up to
+    1e300, scales of 1e+-150 and alpha over 1e+-300: a run returns finite
+    representatives and scales or raises a ClusteringError. Any numpy
+    warning fails the test as well."""
+    rng = np.random.default_rng(seed)
+    pts = np.repeat(rng.normal(size=(n, dim)) * scale + offset, copies, axis=0)
+    if constant_column:
+        pts[:, 0] = pts[0, 0]
+    config = AlgoConfig(algorithm=algorithm, m_ini=m_ini, seed=seed, max_iter=60,
+                        alpha=alpha if algorithm in ("sapcm", "apcm") else None)
+    try:
+        report = run(DataSet(points=pts), config)
+    except ClusteringError:
+        return
+    assert np.isfinite(report.theta_final).all()
+    assert np.isfinite(report.gamma_final).all() and (report.gamma_final > 0).all()
