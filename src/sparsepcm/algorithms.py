@@ -126,11 +126,12 @@ def adapt_eta(data: DataSet, labels: np.ndarray, m: int, floor: float) -> np.nda
     Values below floor, a positive distance, are clamped so the
     downstream scale parameters stay positive.
     """
-    eta = np.empty(m)
-    for j in range(m):
-        pts = data.points[labels == j + 1]
-        eta[j] = np.linalg.norm(pts - pts.mean(axis=0), axis=1).mean()
-    return np.maximum(eta, floor)
+    own = labels > 0
+    lab, pts = labels[own] - 1, data.points[own]
+    count = np.bincount(lab, minlength=m)
+    means = np.stack([np.bincount(lab, col, m) for col in pts.T], axis=1) / count[:, None]
+    dist = np.sqrt(np.square(pts - means[lab]).sum(axis=1))
+    return np.maximum(np.bincount(lab, dist, m) / count, floor)
 
 
 def _adaptive_gamma(eta_hat: float, eta: np.ndarray, alpha: float) -> np.ndarray:
@@ -218,7 +219,7 @@ def run(data: DataSet, config: AlgoConfig) -> RunReport:
             )
         new_theta = update_theta(u, data, live)
         # movement over the live clusters only, matched by identity
-        move = float(np.linalg.norm(new_theta - theta[live], axis=1).max())
+        move = float(np.sqrt(np.square(new_theta - theta[live]).sum(axis=1)).max())
         history.append(IterationRecord(iteration=t, theta=theta, gamma=gamma, lam=lam,
                                        m=len(gamma), max_move=move))
         theta, gamma = new_theta, gamma[live]

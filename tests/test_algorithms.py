@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sparsepcm import make_fixture
 from sparsepcm.algorithms import (
     AlgoConfig,
     adapt_eta,
@@ -23,6 +24,8 @@ from sparsepcm.core import (
 from sparsepcm.fcm import gamma_init_pcm, run_fcm
 from sparsepcm.solver import compute_lambda, update_memberships
 
+import bookkeeping_oracle as oracle
+from blob_draws import blob_draw
 import reference_tables as ref
 
 
@@ -116,6 +119,31 @@ def test_adapt_eta_mean_absolute_deviation():
     eta = adapt_eta(data, labels, 2, 1e-9)
     assert eta[0] == pytest.approx(1.0)       # two points, one unit away each
     assert eta[1] == pytest.approx(1e-9)      # singleton clamps to the floor
+
+
+def _eta_draw(seed):
+    """Labels where every cluster 1..m owns a point, some points own
+    none (label 0) and about a third of the clusters are singletons."""
+    rng = np.random.default_rng(seed)
+    l, m = int(rng.integers(1, 6)), int(rng.integers(1, 13))
+    sizes = np.where(rng.random(m) < 0.3, 1, rng.integers(1, 380 // m + 1, m))
+    labels = np.concatenate([np.zeros(int(rng.integers(0, 21)), dtype=int),
+                             np.repeat(np.arange(1, m + 1), sizes)])
+    rng.shuffle(labels)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    centers = rng.normal(0.0, 5.0 * scale, size=(m + 1, l))
+    points = centers[labels] + rng.normal(0.0, scale, size=(labels.size, l))
+    return DataSet(points=points), labels, m, sizes
+
+
+def test_adapt_eta_matches_loop_oracle():
+    # the grouped sums add in another order than .mean(): equal to rounding
+    for seed in range(1000):
+        data, labels, m, sizes = _eta_draw(seed)
+        eta = adapt_eta(data, labels, m, 1e-9)
+        expected = oracle.adapt_eta(data, labels, m, 1e-9)
+        np.testing.assert_allclose(eta, expected, rtol=1e-12, atol=0.0, err_msg=f"seed {seed}")
+        assert (eta[sizes == 1] == 1e-9).all()
 
 
 @pytest.mark.parametrize("algorithm", ["pcm", "spcm", "sapcm", "apcm"])
@@ -236,6 +264,58 @@ def test_sapcm_cluster_count_never_increases():
     ms = [rec.m for rec in report.history]
     assert all(a >= b for a, b in zip(ms, ms[1:]))
     assert report.m_final == ms[-1]
+
+
+def _cost(data, theta, gamma, lam, p):
+    """The paper's cost min_U J(U, theta; gamma, lam) = sum_ij [u d +
+    gamma (u ln u - u) + lam u^p] at the solver's memberships, with
+    0 ln 0 = 0."""
+    d = squared_distances(data, theta)
+    u = update_memberships(d, gamma, lam, p)
+    u_ln_u = u * np.log(u, out=np.zeros_like(u), where=u > 0.0)
+    return float((u * d + gamma * (u_ln_u - u) + lam * u**p).sum())
+
+
+# the benchmark's pairs on these fixtures, with the acceptance suite's settings
+_DESCENT_PAIRS = (
+    ("example1", "spcm", {"m_ini": 5}),
+    ("example1", "pcm", {"m_ini": 5}),
+    ("example3", "sapcm", {"m_ini": 5, "alpha": 2.0}),
+    ("example3", "apcm", {"m_ini": 5, "alpha": 1.6}),
+    ("example4", "apcm", {"m_ini": 5, "alpha": 1.5}),
+    ("iris", "sapcm", {"m_ini": 3, "alpha": 2.2}),
+    ("iris", "spcm", {"m_ini": 10}),
+    ("iris", "pcm", {"m_ini": 10}),
+)
+
+
+def _descent_cases(iris_data):
+    for fixture, algorithm, settings in _DESCENT_PAIRS:
+        for seed in (0, 1):
+            data = iris_data if fixture == "iris" else make_fixture(fixture, seed=seed)
+            yield data, AlgoConfig(algorithm, seed=seed, **settings)
+    for seed in range(10):
+        pts, m_ini, alpha = blob_draw(seed)
+        yield DataSet(points=pts), AlgoConfig("sapcm", m_ini, alpha=alpha, seed=seed, max_iter=50)
+
+
+def test_cost_descends_between_iterations(iris_data):
+    """Each iteration minimises J exactly in U and then in theta, so at
+    the iteration's own (gamma, lam) the cost cannot rise from theta_t to
+    theta_t+1. Pairs across an elimination compare different models and
+    are skipped. J <= 0, so the slack is relative to |J|."""
+    pairs = 0
+    for data, config in _descent_cases(iris_data):
+        history = run(data, config).history
+        for rec, nxt in zip(history, history[1:]):
+            if nxt.m != rec.m:
+                continue
+            before = _cost(data, rec.theta, rec.gamma, rec.lam, config.p)
+            after = _cost(data, nxt.theta, rec.gamma, rec.lam, config.p)
+            assert after <= before + 1e-12 * abs(before), (
+                config.algorithm, config.seed, rec.iteration, before, after)
+            pairs += 1
+    assert pairs > 1000
 
 
 def make_three_groups(seed=1):

@@ -3,15 +3,21 @@
 perfbench's tracer wraps the package's public functions by name and
 checks that every wrapped layer is called, so a refactor of src/ that
 renames or drops a function the benchmark reads breaks it. One short
-traced run per workload catches that.
+traced run per workload catches that. The bookkeeping and outer-loop
+names are only summed, so a missing one would read as zero time; a
+second check looks them up in the package.
 """
 
+import importlib.util
+import inspect
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from sparsepcm import algorithms
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -25,3 +31,13 @@ def test_traced_benchmark_run_is_correct(workload):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert json.loads(proc.stdout.strip().splitlines()[-1])["correct"] is True
+
+
+def test_traced_algorithm_names_are_public_functions():
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    for name in bench.BOOKKEEPING:
+        assert not name.startswith("_"), name
+        assert inspect.isfunction(getattr(algorithms, name, None)), name
+    assert "run" in bench.OUTER_LOOPS

@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import membership_oracle as oracle
+from blob_draws import blob_draw
 from sparsepcm import DataSet
 from sparsepcm.algorithms import AlgoConfig, run, update_theta
 from sparsepcm.core import ClusteringError
@@ -196,23 +197,13 @@ def test_metric_scores_ignore_label_identities(seed, n, k, m):
     assert per_s == success_rate(pred, truth, k)[1]
 
 
-def _blob_draw(seed):
-    rng = np.random.default_rng(seed)
-    k = int(rng.integers(2, 4))
-    centers = np.array([(0.0, 0.0), (4.0, 0.0), (2.0, 3.5)])[:k]
-    spread = float(rng.uniform(0.15, 0.45))
-    pts = np.vstack([rng.normal(c, spread, size=(int(rng.integers(15, 25)), 2))
-                     for c in centers])
-    return pts, int(rng.integers(3, 7)), float(rng.uniform(0.8, 2.0))
-
-
 @pytest.mark.parametrize("algorithm", ["pcm", "spcm", "sapcm", "apcm"])
 def test_runs_are_equivariant_under_power_of_two_scaling(algorithm):
     """Points and theta_tol times 2**k give theta times 2**k, gamma and
     lam times 4**k, and the same labels, cluster count and iterations,
     bit for bit: no step of a run carries units of its own."""
     for seed in range(6):
-        pts, m_ini, alpha = _blob_draw(seed)
+        pts, m_ini, alpha = blob_draw(seed)
         knobs = dict(algorithm=algorithm, m_ini=m_ini, seed=seed, max_iter=100,
                          alpha=alpha if algorithm in ("sapcm", "apcm") else None)
         base = run(DataSet(points=pts), AlgoConfig(**knobs))
