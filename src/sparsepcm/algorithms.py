@@ -7,9 +7,9 @@ the scale parameters from the FCM memberships, then alternate membership
 and representative updates until no representative moves more than
 theta_tol. pcm is spcm with K = 0. One rule eliminates clusters: each
 iteration drops, on the spot, every cluster that lost its support. The
-adaptive algorithms (sapcm, apcm) then relabel the points and
-re-estimate the per-cluster scales; the fixed-scale ones (pcm, spcm)
-merge duplicates once, at the end of the run.
+adaptive algorithms (sapcm, apcm) then re-estimate the per-cluster
+scales; the fixed-scale ones (pcm, spcm) merge duplicates at the end.
+One rule labels the points: by the memberships of the returned model.
 
 The state of an iteration is the representatives theta (m x l), their
 scales gamma (m) and the sparsity weight lam; run keeps the three as
@@ -187,11 +187,11 @@ def run(data: DataSet, config: AlgoConfig) -> RunReport:
     support: for pcm and spcm one whose membership column is all zero,
     for sapcm and apcm one that is no point's best match. The rest move
     to their membership-weighted means. pcm and spcm keep the scales FCM
-    gives them, with lam fixed from the smallest one (zero for pcm); after
-    the loop they merge duplicates and label the points by one membership
-    pass at the returned model. sapcm and apcm re-estimate the scales every
-    iteration from each cluster's most-compatible points, lam follows the
-    smallest one, and their labels are the last iteration's. A point with
+    gives them, with lam fixed from the smallest one (zero for pcm), and
+    merge duplicates after the loop. sapcm and apcm re-estimate the scales
+    every iteration from each cluster's most-compatible points, and lam
+    follows the smallest one. All four label the points by one membership
+    pass at the returned model, the argmax of the exported memberships;
     an all-zero membership row gets label 0.
     """
     t0 = time.perf_counter()
@@ -234,9 +234,8 @@ def run(data: DataSet, config: AlgoConfig) -> RunReport:
     if not adaptive:
         keep = remove_duplicates(theta, gamma)
         theta, gamma = theta[keep], gamma[keep]
-        u = update_memberships(squared_distances(data, theta), gamma, lam, config.p)
-        labels = assign_labels(u)
-    wall = time.perf_counter() - t0
+    labels = assign_labels(
+        update_memberships(squared_distances(data, theta), gamma, lam, config.p))
     return RunReport(
         algorithm=config.algorithm,
         m_ini=config.m_ini,
@@ -245,7 +244,7 @@ def run(data: DataSet, config: AlgoConfig) -> RunReport:
         converged=bool(move < config.theta_tol),
         fcm_iterations=fcm.iterations,
         fcm_converged=fcm.converged,
-        wall_time=wall,
+        wall_time=time.perf_counter() - t0,
         theta_final=theta,
         gamma_final=gamma,
         lam_final=lam,

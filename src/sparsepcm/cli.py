@@ -60,11 +60,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.runs:
             raise ConfigurationError("experiment needs at least one run")
-        sources = [
-            s for s in (self.csv_path, self.generator_path, self.fixture)
-            if s is not None
-        ]
-        if len(sources) != 1:
+        if sum(s is not None for s in (self.csv_path, self.generator_path, self.fixture)) != 1:
             raise ConfigurationError(
                 "exactly one input source (csv, generator spec, or fixture) required"
             )

@@ -14,14 +14,15 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .core import ConfigurationError
+
 
 def _check_pair(pred, truth):
-    pred = np.asarray(pred, dtype=int)
-    truth = np.asarray(truth, dtype=int)
-    if pred.shape != truth.shape or pred.ndim != 1:
-        raise ValueError("pred and truth must be 1-D arrays of equal length")
+    pred, truth = np.asarray(pred, dtype=int), np.asarray(truth, dtype=int)
+    if pred.shape != truth.shape or pred.ndim != 1 or not pred.size:
+        raise ConfigurationError("pred and truth must be nonempty 1-D arrays of equal length")
     if truth.min() < 1:
-        raise ValueError("truth labels must be >= 1 on evaluated points")
+        raise ConfigurationError("truth labels must be >= 1 on evaluated points")
     return pred, truth
 
 
@@ -73,9 +74,9 @@ def success_rate(pred, truth, m_true: int):
     """
     pred, truth = _check_pair(pred, truth)
     if m_true < 1:
-        raise ValueError("m_true must be >= 1")
+        raise ConfigurationError("m_true must be >= 1")
     if truth.max() > m_true:
-        raise ValueError("truth label exceeds m_true")
+        raise ConfigurationError("truth label exceeds m_true")
     conf = _confusion(pred, truth, m_true)
     n = int(conf.sum())
     if n == 0:
@@ -103,7 +104,9 @@ def mean_distance(theta, truth_centers) -> float:
     theta = np.atleast_2d(np.asarray(theta, dtype=float))
     centers = np.atleast_2d(np.asarray(truth_centers, dtype=float))
     if theta.shape[1] != centers.shape[1]:
-        raise ValueError("dimension mismatch between theta and truth_centers")
+        raise ConfigurationError("dimension mismatch between theta and truth_centers")
+    if not (theta.size and centers.size):
+        raise ConfigurationError("theta and truth_centers need at least one row each")
     dist = np.linalg.norm(centers[:, None, :] - theta[None, :, :], axis=2)
     if theta.shape[0] >= centers.shape[0]:
         rows, cols = linear_sum_assignment(dist)

@@ -36,6 +36,8 @@ import math
 
 import numpy as np
 
+from .core import ConfigurationError
+
 
 def compute_lambda(gamma_min, p, K):
     """Sparsity weight putting the zero-membership radius just past gamma_min.
@@ -45,11 +47,11 @@ def compute_lambda(gamma_min, p, K):
     with d a bit beyond gamma_min; K = 0 disables sparsity.
     """
     if gamma_min <= 0:
-        raise ValueError("gamma_min must be positive")
+        raise ConfigurationError("gamma_min must be positive")
     if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0,1)")
+        raise ConfigurationError("p must lie in (0,1)")
     if not 0.0 <= K < 1.0:
-        raise ValueError("K must lie in [0,1)")
+        raise ConfigurationError("K must lie in [0,1)")
     return K * gamma_min * math.exp(p - 2.0) / (p * (1.0 - p))
 
 

@@ -1,0 +1,109 @@
+"""Print one digest line per benchmark run, to diff the records of two commits.
+
+    python3 tests/record_digest.py > digest.txt
+
+Runs perfbench's SPARSE_PAIRS (through algorithms.run) and CLASSIC_PAIRS
+(through cli.run_experiment, every artifact written) at fixture seeds
+0-2, then workloads.small_n_case(0..59) under all four algorithms at
+max_iter 50. Each line names the run and gives m_final, iterations,
+converged and the sha256 of the report's to_dict() without wall_time;
+a classic run adds the sha256 of each artifact, report.json again
+without wall_time. A run that raises a ClusteringError prints it
+instead. Run the script from two checkouts and diff the output: equal
+lines mean equal records, bit for bit.
+
+pytest does not collect this file; test_record_digest.py checks that it
+is deterministic.
+"""
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from sparsepcm import algorithms, cli, datagen  # noqa: E402
+from sparsepcm.algorithms import ALGORITHMS, AlgoConfig  # noqa: E402
+from sparsepcm.core import ClusteringError  # noqa: E402
+from workloads import CLASSIC_PAIRS, SPARSE_PAIRS, small_n_case  # noqa: E402
+
+FIXTURE_SEEDS = range(3)
+SMALL_N_DRAWS = range(60)
+
+
+def _without_wall_time(report):
+    return {k: v for k, v in report.items() if k != "wall_time"}
+
+
+def _sha(doc):
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def _artifacts(out, algorithm):
+    """name=sha256 of every file run_experiment wrote to out."""
+    doc = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    doc["reports"] = [_without_wall_time(r) for r in doc["reports"]]
+    shas = [f"report.json={_sha(doc)}"]
+    for path in sorted((out / f"run_00_{algorithm}").iterdir()):
+        shas.append(f"{path.name}={hashlib.sha256(path.read_bytes()).hexdigest()}")
+    return " ".join(shas)
+
+
+def digest_line(name, data, config, fixture=None, fixture_seed=0):
+    """The digest of one run: through cli.run_experiment when a fixture name
+    is given, else through algorithms.run on data."""
+    try:
+        if fixture is None:
+            report, files = algorithms.run(data, config), ""
+        else:
+            with tempfile.TemporaryDirectory() as tmp:
+                report = cli.run_experiment(cli.ExperimentConfig(
+                    runs=[config], output_dir=Path(tmp), fixture=fixture,
+                    fixture_seed=fixture_seed,
+                ))[0]
+                files = " " + _artifacts(Path(tmp), config.algorithm)
+    except ClusteringError as exc:
+        return f"{name} error={type(exc).__name__}: {exc}"
+    record = _sha(_without_wall_time(report.to_dict()))
+    return (f"{name} m_final={report.m_final} iterations={report.iterations} "
+            f"converged={report.converged} record={record}{files}")
+
+
+def fixture_lines(pairs, via_cli):
+    iris = cli.load_csv(cli.iris_path(), label_column="species")
+    for fs in FIXTURE_SEEDS:
+        drawn = {"iris": iris}
+        for fixture, algorithm, settings in pairs:
+            if fixture not in drawn:
+                drawn[fixture] = datagen.make_fixture(fixture, seed=fs)
+            yield digest_line(
+                f"{fixture}/{algorithm}/{fs}", drawn[fixture],
+                AlgoConfig(algorithm=algorithm, seed=fs, **settings),
+                fixture=fixture if via_cli else None, fixture_seed=fs,
+            )
+
+
+def small_n_lines():
+    for draw in SMALL_N_DRAWS:
+        case = small_n_case(draw)
+        for algorithm in ALGORITHMS:
+            config = AlgoConfig(
+                algorithm=algorithm, m_ini=case.config.m_ini, seed=case.config.seed,
+                max_iter=50,
+                alpha=case.config.alpha if algorithm in ("sapcm", "apcm") else None,
+            )
+            yield digest_line(f"small-n/{draw}/{algorithm}", case.data, config)
+
+
+def main():
+    for lines in (fixture_lines(SPARSE_PAIRS, False), fixture_lines(CLASSIC_PAIRS, True),
+                  small_n_lines()):
+        for line in lines:
+            print(line, flush=True)
+
+
+if __name__ == "__main__":
+    main()

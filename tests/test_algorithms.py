@@ -21,6 +21,7 @@ from sparsepcm.core import (
     NumericalError,
     squared_distances,
 )
+from sparsepcm.datagen import Component, MixtureSpec, generate
 from sparsepcm.fcm import gamma_init_pcm, run_fcm
 from sparsepcm.solver import compute_lambda, update_memberships
 
@@ -362,6 +363,27 @@ def test_spcm_far_outlier_is_unassigned():
     data = DataSet(points=pts)
     report = run(data, AlgoConfig("spcm", 2, seed=0))
     assert report.labels_final[-1] == 0
+
+
+def test_labels_are_the_returned_models_at_the_step_cap():
+    """apcm on the small-n benchmark draw 54 stops at max_iter 50 while a
+    point still changes cluster. Its labels are those of the model it
+    returns, the argmax of the exported memberships, not the labels of
+    the iterate before that model."""
+    rng = np.random.default_rng(54)
+    k, per_blob = int(rng.integers(2, 4)), int(rng.integers(15, 25))
+    var = float(rng.uniform(0.15, 0.45)) ** 2
+    m_ini, alpha = int(rng.integers(3, 7)), float(rng.uniform(0.8, 2.0))
+    data = generate(MixtureSpec(components=tuple(
+        Component(mean=c, covariance=((var, 0.0), (0.0, var)), count=per_blob)
+        for c in ((0.0, 0.0), (4.0, 0.0), (2.0, 3.5))[:k]), seed=54))
+    assert (data.n_points, m_ini) == (34, 5)
+    report = run(data, AlgoConfig("apcm", m_ini, alpha=alpha, seed=54, max_iter=50))
+    assert not report.converged
+    u = update_memberships(squared_distances(data, report.theta_final),
+                           report.gamma_final, report.lam_final, 0.5)
+    np.testing.assert_array_equal(
+        report.labels_final, np.where(u.max(axis=1) > 0.0, u.argmax(axis=1) + 1, 0))
 
 
 def test_run_without_labeled_points_has_no_metrics():

@@ -123,20 +123,35 @@ def test_main_end_to_end(tmp_path, capsys):
     assert 1 <= report["fcm_iterations"] < 300
 
     run_dir = out / "run_00_spcm"
-    with (run_dir / "memberships.csv").open() as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == [f"u_{j + 1}" for j in range(report["m_final"])]
-    assert len(rows) - 1 == 160
-    # the exported memberships are the ones the final labels came from
-    u = np.array(rows[1:], dtype=float)
-    expect = np.where(u.max(axis=1) > 0.0, u.argmax(axis=1) + 1, 0)
-    np.testing.assert_array_equal(expect, report["labels_final"])
+    _assert_labels_are_memberships_argmax(run_dir, report, 160)
     with (run_dir / "theta.csv").open() as fh:
         theta_rows = list(csv.reader(fh))
     assert len(theta_rows) - 1 == report["m_final"]
 
     svg = (run_dir / "plot.svg").read_text()
     assert svg.count("<circle") == report["m_final"]
+
+    # the adaptive algorithms label by the same rule, each on one more input
+    for algo, seed in (("sapcm", 1), ("apcm", 2)):
+        data_csv = _write_blob_csv(tmp_path / f"blobs_{algo}.csv", n=40, seed=seed)
+        code = main([
+            "--algo", algo, "--m-ini", "4", "--alpha", "1.0", "--seed", str(seed),
+            "--input", str(data_csv), "--out", str(out / algo),
+        ])
+        assert code == 0
+        report = json.loads((out / algo / "report.json").read_text())["reports"][0]
+        _assert_labels_are_memberships_argmax(out / algo / f"run_00_{algo}", report, 80)
+
+
+def _assert_labels_are_memberships_argmax(run_dir, report, n):
+    """The exported memberships are the ones the final labels came from."""
+    with (run_dir / "memberships.csv").open() as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == [f"u_{j + 1}" for j in range(report["m_final"])]
+    assert len(rows) - 1 == n
+    u = np.array(rows[1:], dtype=float)
+    expect = np.where(u.max(axis=1) > 0.0, u.argmax(axis=1) + 1, 0)
+    np.testing.assert_array_equal(expect, report["labels_final"])
 
 
 def test_main_fixture_input(tmp_path):

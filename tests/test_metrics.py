@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sparsepcm.core import ConfigurationError
 from sparsepcm.metrics import mean_distance, rand_measure, success_rate
 
 
@@ -75,12 +76,29 @@ def test_more_predicted_than_true_clusters():
 
 
 def test_truth_labels_must_be_positive():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match="truth labels must be >= 1"):
         rand_measure(np.array([1, 1]), np.array([0, 1]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match="truth labels must be >= 1"):
         success_rate(np.array([1, 1]), np.array([0, 1]), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match="equal length"):
         rand_measure(np.array([1]), np.array([1, 2]))
+
+
+def test_argument_errors_are_configuration_errors():
+    pair = np.array([1, 2]), np.array([1, 2])
+    with pytest.raises(ConfigurationError, match="m_true must be >= 1"):
+        success_rate(*pair, 0)
+    with pytest.raises(ConfigurationError, match="truth label exceeds m_true"):
+        success_rate(*pair, 1)
+    for score in (rand_measure, lambda p, t: success_rate(p, t, 1)):
+        with pytest.raises(ConfigurationError, match="nonempty"):
+            score(np.array([], dtype=int), np.array([], dtype=int))
+    with pytest.raises(ConfigurationError, match="dimension mismatch"):
+        mean_distance(np.zeros((2, 3)), np.zeros((2, 2)))
+    for theta, centers in ((np.zeros((0, 2)), np.zeros((1, 2))),
+                           (np.zeros((1, 2)), np.zeros((0, 2)))):
+        with pytest.raises(ConfigurationError, match="at least one row"):
+            mean_distance(theta, centers)
 
 
 def test_mean_distance_optimal_assignment():

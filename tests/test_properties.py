@@ -22,9 +22,9 @@ import membership_oracle as oracle
 from blob_draws import blob_draw
 from sparsepcm import DataSet
 from sparsepcm.algorithms import AlgoConfig, run, update_theta
-from sparsepcm.core import ClusteringError
+from sparsepcm.core import ClusteringError, squared_distances
 from sparsepcm.metrics import rand_measure, success_rate
-from sparsepcm.solver import compute_lambda
+from sparsepcm.solver import compute_lambda, update_memberships
 
 _SUITE = settings(
     max_examples=1000,
@@ -244,9 +244,15 @@ def test_degenerate_inputs_give_a_finite_model_or_a_clustering_error(
         pts[:, 0] = pts[0, 0]
     config = AlgoConfig(algorithm=algorithm, m_ini=m_ini, seed=seed, max_iter=60,
                         alpha=alpha if algorithm in ("sapcm", "apcm") else None)
+    data = DataSet(points=pts)
     try:
-        report = run(DataSet(points=pts), config)
+        report = run(data, config)
     except ClusteringError:
         return
     assert np.isfinite(report.theta_final).all()
     assert np.isfinite(report.gamma_final).all() and (report.gamma_final > 0).all()
+    # the labels are the argmax of the returned model's memberships
+    u = update_memberships(squared_distances(data, report.theta_final),
+                           report.gamma_final, report.lam_final, config.p)
+    np.testing.assert_array_equal(
+        report.labels_final, np.where(u.max(axis=1) > 0.0, u.argmax(axis=1) + 1, 0))

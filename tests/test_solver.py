@@ -6,7 +6,7 @@ from scipy.special import lambertw
 
 import membership_oracle as oracle
 from sparsepcm import solver
-from sparsepcm.core import DataSet, squared_distances
+from sparsepcm.core import ConfigurationError, DataSet, squared_distances
 from sparsepcm.solver import compute_lambda, update_memberships
 
 
@@ -53,11 +53,11 @@ def test_compute_lambda_reference_value():
 
 
 def test_compute_lambda_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match="gamma_min must be positive"):
         compute_lambda(-1.0, 0.5, 0.9)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match=r"p must lie in \(0,1\)"):
         compute_lambda(1.0, 1.5, 0.9)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match=r"K must lie in \[0,1\)"):
         compute_lambda(1.0, 0.5, 1.0)
 
 
