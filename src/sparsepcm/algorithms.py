@@ -190,9 +190,9 @@ def run(data: DataSet, config: AlgoConfig) -> RunReport:
     gives them, with lam fixed from the smallest one (zero for pcm), and
     merge duplicates after the loop. sapcm and apcm re-estimate the scales
     every iteration from each cluster's most-compatible points, and lam
-    follows the smallest one. All four label the points by one membership
-    pass at the returned model, the argmax of the exported memberships;
-    an all-zero membership row gets label 0.
+    follows the smallest one. All four solve the memberships of the
+    returned model once, return them as the report's memberships and
+    label the points by their argmax; an all-zero row gets label 0.
     """
     t0 = time.perf_counter()
     adaptive = config.algorithm in ("sapcm", "apcm")
@@ -234,8 +234,8 @@ def run(data: DataSet, config: AlgoConfig) -> RunReport:
     if not adaptive:
         keep = remove_duplicates(theta, gamma)
         theta, gamma = theta[keep], gamma[keep]
-    labels = assign_labels(
-        update_memberships(squared_distances(data, theta), gamma, lam, config.p))
+    u = update_memberships(squared_distances(data, theta), gamma, lam, config.p)
+    labels = assign_labels(u)
     return RunReport(
         algorithm=config.algorithm,
         m_ini=config.m_ini,
@@ -252,4 +252,5 @@ def run(data: DataSet, config: AlgoConfig) -> RunReport:
         seed=config.seed,
         metrics=_metrics_for(data, labels, theta),
         history=history,
+        memberships=u,
     )

@@ -29,10 +29,8 @@ from .core import (
     DataSet,
     RunReport,
     json_field,
-    squared_distances,
 )
 from .datagen import FIXTURE_NAMES, MixtureSpec, generate, make_fixture
-from .solver import update_memberships
 
 SCHEMA_VERSION = 1
 _EMIT_CHOICES = ("report", "memberships", "plot")
@@ -178,8 +176,8 @@ def _svg_plot(path: Path, data: DataSet, report: RunReport):
     radii = np.sqrt(report.gamma_final)
     lo = np.minimum(lo, (report.theta_final - radii[:, None]).min(axis=0))
     hi = np.maximum(hi, (report.theta_final + radii[:, None]).max(axis=0))
-    span = np.maximum(hi - lo, 1e-12)
-    scale = (_PLOT_SIZE - 2 * _PLOT_PAD) / span.max()
+    # no floor in data units: a returned model implies points of positive spread
+    scale = (_PLOT_SIZE - 2 * _PLOT_PAD) / (hi - lo).max()
 
     def sx(x):
         return _PLOT_PAD + (x - lo[0]) * scale
@@ -224,10 +222,10 @@ def run_experiment(config: ExperimentConfig):
     done, failures = [], []
     for i, algo_config in enumerate(config.runs):
         try:
-            done.append((i, algo_config, run(data, algo_config)))
+            done.append((i, run(data, algo_config)))
         except ClusteringError as exc:
             failures.append((i, algo_config.algorithm, exc))
-    reports = [report for _, _, report in done]
+    reports = [report for _, report in done]
     if "report" in config.emit:
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -239,17 +237,13 @@ def run_experiment(config: ExperimentConfig):
         (config.output_dir / "report.json").write_text(
             json.dumps(doc, indent=2), encoding="utf-8"
         )
-    for i, algo_config, report in done:
+    for i, report in done:
         run_dir = config.output_dir / f"run_{i:02d}_{report.algorithm}"
         run_dir.mkdir(exist_ok=True)
         if "memberships" in config.emit:
-            # the memberships of the model the run returned
-            u = update_memberships(
-                squared_distances(data, report.theta_final),
-                report.gamma_final, report.lam_final, algo_config.p,
-            )
+            # the memberships of the returned model, labels_final's source
             _write_matrix_csv(
-                run_dir / "memberships.csv", u,
+                run_dir / "memberships.csv", report.memberships,
                 [f"u_{j + 1}" for j in range(report.m_final)],
             )
             _write_matrix_csv(
@@ -319,9 +313,12 @@ def _config_from_args(args) -> ExperimentConfig:
         runs.append(AlgoConfig(**merged))
 
     inp = json_field(base, "input", dict, "a JSON object", {})
-    csv_path = args.input or json_field(inp, "csv", str, "a file path", None)
-    generator = args.generator or json_field(inp, "generator", str, "a file path", None)
-    fixture = args.fixture or json_field(inp, "fixture", str, "a fixture name", None)
+    sources = {"csv": args.input, "generator": args.generator, "fixture": args.fixture}
+    if any(sources.values()):
+        inp = {**sources, "label_column": inp.get("label_column")}
+    csv_path = json_field(inp, "csv", str, "a file path", None)
+    generator = json_field(inp, "generator", str, "a file path", None)
+    fixture = json_field(inp, "fixture", str, "a fixture name", None)
     label_column = args.label_column or json_field(
         inp, "label_column", (str, int), "a column name or nonnegative index", None
     )

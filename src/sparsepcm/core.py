@@ -134,9 +134,10 @@ class IterationRecord:
 class RunReport:
     """Everything a finished run reports back.
 
-    theta_final, gamma_final and lam_final are the returned model; the
-    memberships export recomputes its memberships from them. converged and
-    fcm_converged tell whether the main loop and the FCM initializer
+    theta_final, gamma_final and lam_final are the returned model, and
+    memberships, kept out of repr and to_dict, is its N x m_final
+    membership matrix, whose argmax labeling is labels_final. converged
+    and fcm_converged tell whether the main loop and the FCM initializer
     stopped on their tolerance or at their step cap.
     """
 
@@ -155,16 +156,17 @@ class RunReport:
     seed: int
     metrics: Optional[dict] = None
     history: list = field(default_factory=list)
+    memberships: Optional[np.ndarray] = field(default=None, repr=False)
 
     def to_dict(self):
         return _json_dict(self)
 
 
 def _json_dict(record):
-    """The dataclass fields of record in declaration order, arrays as lists
-    and history records as dicts; lam is written under the key "lambda"."""
+    """The repr fields of record in declaration order, arrays as lists and
+    history records as dicts; lam is written under the key "lambda"."""
     doc = {}
-    for f in fields(record):
+    for f in filter(lambda f: f.repr, fields(record)):
         value = getattr(record, f.name)
         if isinstance(value, np.ndarray):
             value = value.tolist()

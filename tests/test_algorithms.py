@@ -56,6 +56,9 @@ def test_config_validation():
     ]:
         with pytest.raises(ConfigurationError):
             AlgoConfig(**{"algorithm": "sapcm", "m_ini": 3, "alpha": 1.0, **bad})
+    for bad in [dict(theta_tol=0.0), dict(max_iter=0)]:
+        with pytest.raises(ConfigurationError, match="theta_tol, max_iter must be positive"):
+            AlgoConfig(**{"algorithm": "sapcm", "m_ini": 3, "alpha": 1.0, **bad})
 
 
 def test_config_k_defaults():

@@ -8,6 +8,7 @@ import pytest
 from sparsepcm import ConfigurationError
 from sparsepcm.cli import (
     CsvFormatError,
+    ExperimentConfig,
     iris_path,
     load_csv,
     main,
@@ -70,6 +71,20 @@ def test_load_csv_rejects_ragged_rows(tmp_path):
     p.write_text("1.0,2.0\n3.0\n")
     with pytest.raises(CsvFormatError):
         load_csv(p)
+
+
+@pytest.mark.parametrize("text, label_column, message", [
+    ("", None, "empty file"),
+    ("x,y\n", None, "header but no data rows"),
+    ("x,y\n1,2\n", "cls", "unknown label column 'cls'"),
+    ("1,2\n3,4\n", "2", "label column index 2 out of range"),
+    ("1,2\n3,four\n", None, "non-numeric cell at row 2, column 1: 'four'"),
+])
+def test_load_csv_rejects_malformed_files(tmp_path, text, label_column, message):
+    p = tmp_path / "bad.csv"
+    p.write_text(text)
+    with pytest.raises(CsvFormatError, match=message):
+        load_csv(p, label_column=label_column)
 
 
 def test_load_csv_rejects_header_of_another_width(tmp_path):
@@ -164,6 +179,12 @@ def test_main_fixture_input(tmp_path):
     doc = json.loads((out / "report.json").read_text())
     assert doc["reports"][0]["m_final"] == 2
     assert doc["reports"][0]["metrics"]["sr"] > 90.0
+    # the bundled iris table: 150 points, no plot for its 4 features
+    assert main(["--algo", "spcm", "--m-ini", "3", "--fixture", "iris",
+                 "--out", str(out / "iris")]) == 0
+    run_dir = out / "iris" / "run_00_spcm"
+    assert len((run_dir / "memberships.csv").read_text().splitlines()) == 151
+    assert not (run_dir / "plot.svg").exists()
 
 
 def test_config_file_with_flag_overrides(tmp_path):
@@ -185,6 +206,15 @@ def test_config_file_with_flag_overrides(tmp_path):
     doc = json.loads((out / "report.json").read_text())
     assert doc["reports"][0]["algorithm"] == "spcm"
     assert not (out / "run_00_spcm" / "memberships.csv").exists()
+
+    # a source flag replaces the config's source of another kind, both ways
+    sources = [({"fixture": "example1"}, ["--input", str(data_csv)], 160),
+               ({"csv": str(data_csv)}, ["--fixture", "experiment1"], 17)]
+    for inp, flags, n in sources:
+        cpath.write_text(json.dumps({**config, "input": inp}))
+        assert main(["--config", str(cpath), *flags]) == 0, flags
+        doc = json.loads((out / "report.json").read_text())
+        assert len(doc["reports"][0]["labels_final"]) == n, flags
 
 
 def test_generator_spec_input(tmp_path):
@@ -342,6 +372,8 @@ def test_exit_code_2_on_bad_configuration(tmp_path, capsys):
         ({"input": {"generator": str(gens[0])}}, "'components'"),
         ({"input": {"generator": str(gens[1])}}, "'count'"),
         ({"input": {"generator": str(gens[2])}}, "error:"),
+        ({"schema_version": 2}, "unsupported schema_version 2"),
+        ({"runs": [{**ok_run, "tol": 1e-6}]}, "unknown run options: ['tol']"),
     ] + [
         ({"input": {"generator": str(g)}}, message)
         for g, (_, message) in zip(gens[3:], spec_named)
@@ -351,6 +383,12 @@ def test_exit_code_2_on_bad_configuration(tmp_path, capsys):
         cfg.write_text(json.dumps(doc))
         assert main(["--config", str(cfg)]) == 2, doc
         assert message in capsys.readouterr().err, doc
+    cfg.write_text(json.dumps({**base, "runs": [ok_run]}))
+    assert main(["--config", str(cfg), "--emit", "bogus"]) == 2
+    assert "unknown emit targets: ['bogus']" in capsys.readouterr().err
+    # main always builds at least one run; the config type checks its own
+    with pytest.raises(ConfigurationError, match="at least one run"):
+        ExperimentConfig(runs=[], output_dir=tmp_path / "o", fixture="example1")
 
 
 def test_exit_code_2_on_missing_files(tmp_path, capsys):

@@ -78,6 +78,8 @@ def test_squared_distances_matches_manual():
             assert squared_distances(DataSet(points=x), theta, out=out) is out
             np.testing.assert_array_equal(out, d)
             assert out[7, 2] == 0.0
+    with pytest.raises(ConfigurationError, match=r"theta shape \(4, 2\) does not match"):
+        squared_distances(DataSet(points=x), theta[:, :2])
 
 
 def test_exception_hierarchy():
@@ -109,8 +111,16 @@ def test_run_report_round_trips_through_dict():
         seed=9,
         metrics={"rm": 100.0, "sr": 100.0, "sr_per_cluster": [100.0], "md": 0.0},
         history=[rec],
+        memberships=np.array([[0.9], [0.4], [0.0]]),
     )
     doc = json.loads(json.dumps(report.to_dict()))
+    # the membership matrix stays in memory: out of the JSON form and the repr
+    assert list(doc) == [
+        "algorithm", "m_ini", "m_final", "iterations", "converged", "fcm_iterations",
+        "fcm_converged", "wall_time", "theta_final", "gamma_final", "lam_final",
+        "labels_final", "seed", "metrics", "history",
+    ]
+    assert "memberships" not in repr(report)
     assert doc["algorithm"] == "spcm"
     assert doc["m_final"] == 1
     assert doc["converged"] is True

@@ -111,6 +111,8 @@ _UNIT = Component(mean=(0.0, 0.0), covariance=((1.0, 0.0), (0.0, 1.0)), count=5)
         (MixtureSpec(components=(), noise_count=3, noise_box=((1.0,), (0.0,))),
          "low <= high"),
         (MixtureSpec(components=(_UNIT,), noise_count=-2), "counts"),
+        (MixtureSpec(components=(Component((0.0, 0.0), ((1.0, 2.0), (2.0, 1.0)), 5),)),
+         "component 1 covariance is not positive definite"),
     ],
 )
 def test_generate_rejects_malformed_specs(spec, message):

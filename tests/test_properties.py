@@ -22,6 +22,7 @@ import membership_oracle as oracle
 from blob_draws import blob_draw
 from sparsepcm import DataSet
 from sparsepcm.algorithms import AlgoConfig, run, update_theta
+from sparsepcm.cli import _svg_plot
 from sparsepcm.core import ClusteringError, squared_distances
 from sparsepcm.metrics import rand_measure, success_rate
 from sparsepcm.solver import compute_lambda, update_memberships
@@ -198,23 +199,29 @@ def test_metric_scores_ignore_label_identities(seed, n, k, m):
 
 
 @pytest.mark.parametrize("algorithm", ["pcm", "spcm", "sapcm", "apcm"])
-def test_runs_are_equivariant_under_power_of_two_scaling(algorithm):
+def test_runs_are_equivariant_under_power_of_two_scaling(algorithm, tmp_path):
     """Points and theta_tol times 2**k give theta times 2**k, gamma and
-    lam times 4**k, and the same labels, cluster count and iterations,
-    bit for bit: no step of a run carries units of its own."""
+    lam times 4**k, and the same labels, cluster count, iterations and
+    plot, bit for bit: no step of a run carries units of its own."""
+    def plot(data, report):
+        _svg_plot(tmp_path / "plot.svg", data, report)
+        return (tmp_path / "plot.svg").read_text()
+
     for seed in range(6):
         pts, m_ini, alpha = blob_draw(seed)
         knobs = dict(algorithm=algorithm, m_ini=m_ini, seed=seed, max_iter=100,
                          alpha=alpha if algorithm in ("sapcm", "apcm") else None)
         base = run(DataSet(points=pts), AlgoConfig(**knobs))
+        base_plot = plot(DataSet(points=pts), base)
         for k in (-300, -30, 30, 300):
-            scaled = run(DataSet(points=pts * 2.0**k),
-                         AlgoConfig(theta_tol=1e-6 * 2.0**k, **knobs))
+            data = DataSet(points=pts * 2.0**k)
+            scaled = run(data, AlgoConfig(theta_tol=1e-6 * 2.0**k, **knobs))
             np.testing.assert_array_equal(scaled.theta_final, base.theta_final * 2.0**k)
             np.testing.assert_array_equal(scaled.gamma_final, base.gamma_final * 4.0**k)
             assert scaled.lam_final == base.lam_final * 4.0**k
             np.testing.assert_array_equal(scaled.labels_final, base.labels_final)
             assert (scaled.m_final, scaled.iterations) == (base.m_final, base.iterations)
+            assert plot(data, scaled) == base_plot, k
 
 
 @settings(max_examples=200, deadline=None, derandomize=True,
@@ -251,8 +258,11 @@ def test_degenerate_inputs_give_a_finite_model_or_a_clustering_error(
         return
     assert np.isfinite(report.theta_final).all()
     assert np.isfinite(report.gamma_final).all() and (report.gamma_final > 0).all()
-    # the labels are the argmax of the returned model's memberships
+    # the returned memberships are the returned model's, bit for bit, and
+    # the labels are their argmax
     u = update_memberships(squared_distances(data, report.theta_final),
                            report.gamma_final, report.lam_final, config.p)
+    assert report.memberships.shape == u.shape
+    assert report.memberships.tobytes() == u.tobytes()
     np.testing.assert_array_equal(
         report.labels_final, np.where(u.max(axis=1) > 0.0, u.argmax(axis=1) + 1, 0))
