@@ -1,9 +1,9 @@
 """Experiment runner.
 
-Loads a dataset (CSV file, generator spec JSON, or named fixture), runs
-one or more configured algorithms, and writes a JSON report plus per-run
-CSV matrices and an SVG scatter plot (2-D data only, representatives
-drawn as circles of radius sqrt(gamma)).
+Maps flags and a JSON config to a dataset from datagen (CSV file,
+generator spec JSON, or named fixture) and a list of runs, runs them,
+and writes a JSON report plus per-run CSV matrices and an SVG scatter
+plot (2-D data only, representatives drawn as circles of radius sqrt(gamma)).
 
 Exit codes: 0 success, 1 at least one run failed, 2 configuration or
 I/O problem.
@@ -16,7 +16,6 @@ import csv
 import json
 import sys
 from dataclasses import dataclass, fields
-from importlib import resources
 from pathlib import Path
 from typing import Optional
 
@@ -30,16 +29,13 @@ from .core import (
     RunReport,
     json_field,
 )
-from .datagen import FIXTURE_NAMES, MixtureSpec, generate, make_fixture
+from .datagen import FIXTURE_NAMES, MixtureSpec, generate, load_csv, make_fixture
+from .datagen import iris_path  # unused here: perfbench's workloads read cli.iris_path
 
 SCHEMA_VERSION = 1
 _EMIT_CHOICES = ("report", "memberships", "plot")
 _PLOT_SIZE = 640
 _PLOT_PAD = 40
-
-
-class CsvFormatError(ConfigurationError):
-    """Malformed CSV input (ragged row, non-numeric cell, bad column)."""
 
 
 @dataclass
@@ -68,80 +64,6 @@ class ExperimentConfig:
         self.output_dir = Path(self.output_dir)
 
 
-def load_csv(path, label_column=None) -> DataSet:
-    """Parse a numeric CSV into a DataSet.
-
-    label_column may be a header name or a 0-based column index; its
-    values are mapped to class ids 1..m_true in first-appearance order.
-    The first row is a header when label_column is a name, or else when
-    any of its cells outside the label column is non-numeric.
-    """
-    path = Path(path)
-    try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-    except UnicodeDecodeError as exc:
-        raise CsvFormatError(f"{path}: not UTF-8 text: {exc}") from None
-    except OSError as exc:
-        raise ConfigurationError(f"input file {path}: {exc.strerror or exc}") from None
-    if not rows:
-        raise CsvFormatError(f"{path}: empty file")
-
-    by_name = isinstance(label_column, str) and not label_column.lstrip("-").isdigit()
-    label_idx = None if label_column is None or by_name else int(label_column)
-    header = None
-    try:
-        [float(c) for cno, c in enumerate(rows[0]) if cno != label_idx]
-        has_header = by_name
-    except ValueError:
-        has_header = True
-    if has_header:
-        header = [c.strip() for c in rows.pop(0)]
-        if not rows:
-            raise CsvFormatError(f"{path}: header but no data rows")
-    width = len(rows[0])
-    if header is not None and len(header) != width:
-        raise CsvFormatError(
-            f"{path}: header has {len(header)} names but row 2 has {width} cells"
-        )
-    if by_name:
-        if label_column not in header:
-            raise CsvFormatError(f"{path}: unknown label column {label_column!r}")
-        label_idx = header.index(label_column)
-    elif label_idx is not None and not 0 <= label_idx < width:
-        raise CsvFormatError(f"{path}: label column index {label_idx} out of range")
-
-    feats, raw_labels = [], []
-    for rno, row in enumerate(rows, start=2 if header else 1):
-        if len(row) != width:
-            raise CsvFormatError(
-                f"{path}: row {rno} has {len(row)} cells, expected {width}"
-            )
-        vals = []
-        for cno, cell in enumerate(row):
-            if cno == label_idx:
-                raw_labels.append(cell.strip())
-                continue
-            try:
-                vals.append(float(cell))
-            except ValueError:
-                raise CsvFormatError(
-                    f"{path}: non-numeric cell at row {rno}, column {cno}: {cell!r}"
-                ) from None
-        feats.append(vals)
-    points = np.asarray(feats, dtype=float)
-    labels = None
-    if label_idx is not None:
-        ids = {v: i for i, v in enumerate(dict.fromkeys(raw_labels), start=1)}
-        labels = np.array([ids[v] for v in raw_labels], dtype=int)
-    return DataSet(points=points, truth_labels=labels)
-
-
-def iris_path() -> Path:
-    """Location of the bundled 150x4 iris CSV."""
-    return Path(resources.files("sparsepcm").joinpath("data/iris.csv"))
-
-
 def _load_json(path):
     """The parsed JSON file; one not readable as UTF-8 JSON raises
     ConfigurationError naming it."""
@@ -156,8 +78,6 @@ def _resolve_input(config: ExperimentConfig) -> DataSet:
         return load_csv(config.csv_path, config.label_column)
     if config.generator_path is not None:
         return generate(MixtureSpec.from_dict(_load_json(config.generator_path)))
-    if config.fixture == "iris":
-        return load_csv(iris_path(), label_column="species")
     return make_fixture(config.fixture, seed=config.fixture_seed)
 
 
@@ -274,7 +194,7 @@ def _build_parser():
     ap.add_argument("--label-column", dest="label_column",
                     help="name or 0-based index of the class column")
     ap.add_argument("--generator", help="JSON mixture spec to sample from")
-    ap.add_argument("--fixture", choices=FIXTURE_NAMES + ("iris",),
+    ap.add_argument("--fixture", choices=FIXTURE_NAMES,
                     help="named built-in dataset")
     ap.add_argument("--out", help="output directory (default: ./out)")
     ap.add_argument("--emit", help="comma list from report,memberships,plot")

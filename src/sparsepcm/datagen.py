@@ -1,22 +1,30 @@
-"""Seeded synthetic datasets.
+"""Named and seeded datasets: every DataSet the package builds or reads.
 
 A MixtureSpec describes a Gaussian mixture (plus optional uniform
 background noise) and generates the same DataSet bit-for-bit for a given
-seed. The named fixtures reproduce the benchmark configurations used
-throughout the tests: pairs of equal-covariance blobs at varying
-separation and size ratio, a three-cluster set with wildly different
-spreads, the same with background noise, and one tiny hand-written
-17-point set.
+seed; load_csv parses a numeric CSV. The named fixtures reproduce the
+benchmark configurations used throughout the tests: pairs of
+equal-covariance blobs at varying separation and size ratio, a
+three-cluster set with wildly different spreads, the same with
+background noise, a tiny hand-written 17-point set, and the iris table.
 """
 
 from __future__ import annotations
 
+import csv
+import numbers
 from dataclasses import dataclass
+from importlib import resources
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .core import ConfigurationError, DataSet, float_array, json_field
+
+
+class CsvFormatError(ConfigurationError):
+    """Malformed CSV input (ragged row, non-numeric cell, bad column)."""
 
 
 @dataclass(frozen=True)
@@ -58,6 +66,12 @@ def _tuples(value):
     return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
+def _check_natural(value, name):
+    """Raise ConfigurationError naming value unless it is an int >= 0 (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ConfigurationError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
 def _iso(var, dim):
     """Isotropic covariance var * I as nested tuples."""
     return tuple(
@@ -71,11 +85,12 @@ def generate(spec: MixtureSpec) -> DataSet:
     over noise_box (default: bounding box of the clean draw) labeled 0.
     Component 1's mean sets the dimension of the others and of the box.
     """
-    if min([spec.noise_count] + [c.count for c in spec.components]) < 0:
-        raise ConfigurationError("component and noise counts must be >= 0")
+    _check_natural(spec.seed, "seed")
+    _check_natural(spec.noise_count, "noise_count")
     rng = np.random.default_rng(spec.seed)
     blocks, labels, means = [], [], []
     for k, comp in enumerate(spec.components, start=1):
+        _check_natural(comp.count, f"component {k} count")
         mean = float_array(comp.mean, f"component {k} mean", ndim=1)
         cov = float_array(comp.covariance, f"component {k} covariance")
         dim = means[0].size if means else mean.size
@@ -169,6 +184,80 @@ def _three_cluster_spec(seed, noise_count=0):
     )
 
 
+def load_csv(path, label_column=None) -> DataSet:
+    """Parse a numeric CSV into a DataSet.
+
+    label_column may be a header name or a 0-based column index; its
+    values are mapped to class ids 1..m_true in first-appearance order.
+    The first row is a header when label_column is a name, or else when
+    any of its cells outside the label column is non-numeric.
+    """
+    path = Path(path)
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise ConfigurationError(f"input file {path}: {exc.strerror or exc}") from None
+    if not rows:
+        raise CsvFormatError(f"{path}: empty file")
+
+    by_name = isinstance(label_column, str) and not label_column.lstrip("-").isdigit()
+    label_idx = None if label_column is None or by_name else int(label_column)
+    header = None
+    try:
+        [float(c) for cno, c in enumerate(rows[0]) if cno != label_idx]
+        has_header = by_name
+    except ValueError:
+        has_header = True
+    if has_header:
+        header = [c.strip() for c in rows.pop(0)]
+        if not rows:
+            raise CsvFormatError(f"{path}: header but no data rows")
+    width = len(rows[0])
+    if header is not None and len(header) != width:
+        raise CsvFormatError(
+            f"{path}: header has {len(header)} names but row 2 has {width} cells"
+        )
+    if by_name:
+        if label_column not in header:
+            raise CsvFormatError(f"{path}: unknown label column {label_column!r}")
+        label_idx = header.index(label_column)
+    elif label_idx is not None and not 0 <= label_idx < width:
+        raise CsvFormatError(f"{path}: label column index {label_idx} out of range")
+
+    feats, raw_labels = [], []
+    for rno, row in enumerate(rows, start=2 if header else 1):
+        if len(row) != width:
+            raise CsvFormatError(
+                f"{path}: row {rno} has {len(row)} cells, expected {width}"
+            )
+        vals = []
+        for cno, cell in enumerate(row):
+            if cno == label_idx:
+                raw_labels.append(cell.strip())
+                continue
+            try:
+                vals.append(float(cell))
+            except ValueError:
+                raise CsvFormatError(
+                    f"{path}: non-numeric cell at row {rno}, column {cno}: {cell!r}"
+                ) from None
+        feats.append(vals)
+    points = np.asarray(feats, dtype=float)
+    labels = None
+    if label_idx is not None:
+        ids = {v: i for i, v in enumerate(dict.fromkeys(raw_labels), start=1)}
+        labels = np.array([ids[v] for v in raw_labels], dtype=int)
+    return DataSet(points=points, truth_labels=labels)
+
+
+def iris_path() -> Path:
+    """Location of the bundled 150x4 iris CSV."""
+    return Path(resources.files("sparsepcm").joinpath("data/iris.csv"))
+
+
 _FIXTURE_BUILDERS = {
     "example1": lambda seed: generate(_two_blob_spec((1.5, 1.5), 2000, 1000, seed)),
     "example2": lambda seed: generate(_two_blob_spec((2.0, 2.0), 2000, 1000, seed)),
@@ -177,13 +266,15 @@ _FIXTURE_BUILDERS = {
     "experiment2": lambda seed: generate(_three_cluster_spec(seed)),
     "experiment3": lambda seed: generate(_three_cluster_spec(seed, noise_count=50)),
     "experiment1": lambda seed: experiment1_fixture(),
+    "iris": lambda seed: load_csv(iris_path(), label_column="species"),
 }
 
 FIXTURE_NAMES = tuple(sorted(_FIXTURE_BUILDERS))
 
 
 def make_fixture(name: str, seed: int = 0) -> DataSet:
-    """Build a named synthetic fixture (experiment1 ignores the seed)."""
+    """Build a named fixture (experiment1 and iris ignore the seed but check it)."""
+    _check_natural(seed, "seed")
     try:
         builder = _FIXTURE_BUILDERS[name]
     except KeyError:

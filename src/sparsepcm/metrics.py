@@ -14,16 +14,20 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import ConfigurationError
+from .core import ConfigurationError, float_array
 
 
 def _check_pair(pred, truth):
-    pred, truth = np.asarray(pred, dtype=int), np.asarray(truth, dtype=int)
-    if pred.shape != truth.shape or pred.ndim != 1 or not pred.size:
+    pred, truth = float_array(pred, "pred", ndim=1), float_array(truth, "truth", ndim=1)
+    if pred.shape != truth.shape or not pred.size:
         raise ConfigurationError("pred and truth must be nonempty 1-D arrays of equal length")
+    if (pred != np.trunc(pred)).any() or (truth != np.trunc(truth)).any():
+        raise ConfigurationError("pred and truth labels must be whole numbers")
+    if pred.min() < 0:
+        raise ConfigurationError("predicted labels must be >= 0 (0 = unassigned)")
     if truth.min() < 1:
         raise ConfigurationError("truth labels must be >= 1 on evaluated points")
-    return pred, truth
+    return pred.astype(int), truth.astype(int)
 
 
 def _confusion(pred, truth, m_true):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sparsepcm import make_fixture
-from sparsepcm.cli import iris_path, load_csv
 
 _ACCEPTANCE_LINES = []
 
@@ -30,7 +29,7 @@ def acceptance_log():
 
 @pytest.fixture(scope="session")
 def iris_data():
-    return load_csv(iris_path(), label_column="species")
+    return make_fixture("iris")
 
 
 @pytest.fixture(scope="session")

@@ -73,9 +73,8 @@ def digest_line(name, data, config, fixture=None, fixture_seed=0):
 
 
 def fixture_lines(pairs, via_cli):
-    iris = cli.load_csv(cli.iris_path(), label_column="species")
     for fs in FIXTURE_SEEDS:
-        drawn = {"iris": iris}
+        drawn = {}
         for fixture, algorithm, settings in pairs:
             if fixture not in drawn:
                 drawn[fixture] = datagen.make_fixture(fixture, seed=fs)

@@ -6,13 +6,8 @@ import numpy as np
 import pytest
 
 from sparsepcm import ConfigurationError
-from sparsepcm.cli import (
-    CsvFormatError,
-    ExperimentConfig,
-    iris_path,
-    load_csv,
-    main,
-)
+from sparsepcm.cli import ExperimentConfig, _build_parser, main
+from sparsepcm.datagen import FIXTURE_NAMES, CsvFormatError, iris_path, load_csv
 
 
 def _write_blob_csv(path, n=80, seed=0, labeled=False):
@@ -185,6 +180,11 @@ def test_main_fixture_input(tmp_path):
     run_dir = out / "iris" / "run_00_spcm"
     assert len((run_dir / "memberships.csv").read_text().splitlines()) == 151
     assert not (run_dir / "plot.svg").exists()
+
+
+def test_fixture_choices_are_the_fixture_registry():
+    (fixture,) = [a for a in _build_parser()._actions if a.dest == "fixture"]
+    assert tuple(fixture.choices) == FIXTURE_NAMES
 
 
 def test_config_file_with_flag_overrides(tmp_path):

@@ -10,6 +10,8 @@ from sparsepcm.datagen import (
     MixtureSpec,
     experiment1_fixture,
     generate,
+    iris_path,
+    load_csv,
 )
 
 
@@ -110,9 +112,17 @@ _UNIT = Component(mean=(0.0, 0.0), covariance=((1.0, 0.0), (0.0, 1.0)), count=5)
          "finite width"),
         (MixtureSpec(components=(), noise_count=3, noise_box=((1.0,), (0.0,))),
          "low <= high"),
-        (MixtureSpec(components=(_UNIT,), noise_count=-2), "counts"),
+        (MixtureSpec(components=(_UNIT,), noise_count=-2), "noise_count"),
         (MixtureSpec(components=(Component((0.0, 0.0), ((1.0, 2.0), (2.0, 1.0)), 5),)),
          "component 1 covariance is not positive definite"),
+        (MixtureSpec(components=(_UNIT,), noise_count=1.0), "noise_count"),
+        (MixtureSpec(components=(_UNIT,), seed=-3), "seed must be a nonnegative integer"),
+        (MixtureSpec(components=(_UNIT,), seed=1.5), "seed"),
+        (MixtureSpec(components=(_UNIT,), seed=True), "seed"),
+        (MixtureSpec(components=(_UNIT, Component((1.0, 1.0), _UNIT.covariance, 2.5))),
+         "component 2 count must be a nonnegative integer, got 2.5"),
+        (MixtureSpec(components=(Component((0.0, 0.0), _UNIT.covariance, -1),)),
+         "component 1 count"),
     ],
 )
 def test_generate_rejects_malformed_specs(spec, message):
@@ -164,8 +174,24 @@ def test_spec_documents_give_a_dataset_or_configuration_error(doc):
 def test_fixture_registry():
     assert "example1" in FIXTURE_NAMES
     assert "experiment2" in FIXTURE_NAMES
+    assert "iris" in FIXTURE_NAMES
     with pytest.raises(ConfigurationError):
         make_fixture("no_such_fixture")
+    # iris is the bundled table as the CSV reader parses it, whatever the seed
+    table = load_csv(iris_path(), label_column="species")
+    for seed in (0, 7):
+        iris = make_fixture("iris", seed=seed)
+        np.testing.assert_array_equal(iris.points, table.points)
+        np.testing.assert_array_equal(iris.truth_labels, table.truth_labels)
+        assert iris.truth_centers is None
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "0", None])
+def test_make_fixture_rejects_a_malformed_seed(name, seed):
+    # checked for every name, the ones that ignore the seed included
+    with pytest.raises(ConfigurationError, match="seed must be a nonnegative integer"):
+        make_fixture(name, seed=seed)
 
 
 @pytest.mark.parametrize(

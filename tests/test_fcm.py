@@ -14,6 +14,7 @@ from sparsepcm import (
     NumericalError,
     make_fixture,
 )
+from sparsepcm import fcm
 from sparsepcm.fcm import _fcm_memberships, eta_init_sapcm, gamma_init_pcm, run_fcm
 
 
@@ -213,3 +214,30 @@ def test_fcm_memberships_subnormal_row_raises_beside_a_zero_row():
     d = np.array([[0.0, 1.0], [1e-310, 2e-310], [1.0, 2.0]])
     with pytest.raises(NumericalError, match="float64 range"):
         _fcm_memberships(d)
+
+
+def test_fcm_step_raises_when_a_cluster_loses_all_mass():
+    # every point sits on representative 1 or 2, so representative 3 gets no mass
+    data = DataSet(points=np.array([(0.0, 0.0)] * 3 + [(2.0, 0.0)] * 3))
+    theta = np.array([(0.0, 0.0), (2.0, 0.0), (1.0, 0.0)])
+    d, w = np.empty((6, 3), order="F"), np.empty((6, 3))
+    with pytest.raises(DegenerateClusterError, match="lost all membership mass"):
+        fcm._fcm_step(data, theta, d, w)
+
+
+@pytest.mark.parametrize("error", [DegenerateClusterError, NumericalError])
+def test_squarem_falls_back_when_the_extrapolated_step_raises(monkeypatch, two_blobs, error):
+    plain = run_fcm(two_blobs, 3, tol=1e-6, seed=0)
+    calls, step = [], fcm._fcm_step
+
+    def failing_third_call(*args):
+        calls.append(1)
+        if len(calls) == 3:  # the first extrapolated evaluation
+            raise error("injected")
+        return step(*args)
+
+    monkeypatch.setattr(fcm, "_fcm_step", failing_third_call)
+    res = run_fcm(two_blobs, 3, tol=1e-6, seed=0)
+    assert res.iterations == len(calls) > 3
+    assert res.converged
+    np.testing.assert_allclose(res.theta, plain.theta, rtol=0.0, atol=1e-3)

@@ -90,9 +90,17 @@ def test_argument_errors_are_configuration_errors():
         success_rate(*pair, 0)
     with pytest.raises(ConfigurationError, match="truth label exceeds m_true"):
         success_rate(*pair, 1)
-    for score in (rand_measure, lambda p, t: success_rate(p, t, 1)):
+    for score in (rand_measure, lambda p, t: success_rate(p, t, 2)):
         with pytest.raises(ConfigurationError, match="nonempty"):
             score(np.array([], dtype=int), np.array([], dtype=int))
+        # a negative prediction is no cluster, and labels are not truncated
+        with pytest.raises(ConfigurationError, match="predicted labels must be >= 0"):
+            score([-1, 1, 1], [1, 1, 2])
+        for pred, truth in (([1.7, 1, 1], [1, 1, 2]), ([1, 1, 2], [1, 1.5, 2])):
+            with pytest.raises(ConfigurationError, match="whole numbers"):
+                score(pred, truth)
+        # whole-number floats are labels, as in DataSet's truth_labels
+        assert score([1.0, 1.0, 2.0], [1, 1, 2.0]) == score([1, 1, 2], [1, 1, 2])
     with pytest.raises(ConfigurationError, match="dimension mismatch"):
         mean_distance(np.zeros((2, 3)), np.zeros((2, 2)))
     for theta, centers in ((np.zeros((0, 2)), np.zeros((1, 2))),
