@@ -18,8 +18,6 @@ locals and every step below is a function of plain arrays.
 
 from __future__ import annotations
 
-import math
-import numbers
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -33,6 +31,8 @@ from .core import (
     IterationRecord,
     NumericalError,
     RunReport,
+    float_array,
+    natural,
     squared_distances,
 )
 from .fcm import eta_init_sapcm, gamma_init_pcm, run_fcm
@@ -62,21 +62,12 @@ class AlgoConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ConfigurationError(f"unknown algorithm {self.algorithm!r}")
-        for name in ("m_ini", "max_iter", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        natural(self.m_ini, "m_ini", 1)
+        natural(self.max_iter, "max_iter", 1)
+        natural(self.seed, "seed")
         for name in ("alpha", "K", "p", "theta_tol"):
-            value = getattr(self, name)
-            if value is None and name in ("alpha", "K"):
-                continue
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
-        if self.seed < 0:
-            raise ConfigurationError("seed must be nonnegative")
-        if self.m_ini < 1:
-            raise ConfigurationError("m_ini must be a positive integer")
+            if name in ("p", "theta_tol") or getattr(self, name) is not None:
+                float_array(getattr(self, name), name, ndim=0)
         if self.algorithm in ("pcm", "apcm"):
             self.K = 0.0
         elif self.K is None:
@@ -88,8 +79,8 @@ class AlgoConfig:
                 raise ConfigurationError(f"{self.algorithm} needs alpha > 0")
         if not 0.0 < self.p < 1.0:
             raise ConfigurationError("p must lie in (0,1)")
-        if self.theta_tol <= 0 or self.max_iter < 1:
-            raise ConfigurationError("theta_tol, max_iter must be positive")
+        if self.theta_tol <= 0:
+            raise ConfigurationError("theta_tol must be positive")
 
 
 def update_theta(u: np.ndarray, data: DataSet, live: np.ndarray) -> np.ndarray:

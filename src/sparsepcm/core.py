@@ -1,4 +1,4 @@
-"""Shared domain types and distance computation.
+"""Shared domain types, argument rules and distance computation.
 
 The input points arrive as a DataSet and a finished run leaves as a
 RunReport; in between, the initializer, the membership solver and the
@@ -9,6 +9,7 @@ are float64; label vectors are int arrays where cluster ids run 1..m and
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -44,27 +45,45 @@ def json_field(doc, key, kinds, what, *default, where=""):
     value = doc.get(key)
     if value is None and default:
         return default[0]
-    if (value is None or isinstance(value, bool) or not isinstance(value, kinds)
-            or isinstance(value, int) and value < 0):
-        name = f"{where} {key!r}" if where else key
+    name = f"{where} {key!r}" if where else key
+    if value is None or isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigurationError(f"{name} must be {what}, got {value!r}")
+    return natural(value, name) if isinstance(value, int) else value
+
+
+def natural(value, name, low=0):
+    """value, checked to be an int >= low (a bool is no int); anything else
+    raises ConfigurationError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        what = "a nonnegative integer" if low == 0 else f"an integer >= {low}"
         raise ConfigurationError(f"{name} must be {what}, got {value!r}")
     return value
 
 
 def float_array(a, name, ndim=2):
-    """a as an ndim-D float64 array; text, bools, ragged nesting and
-    non-finite values raise ConfigurationError naming it."""
+    """a as an ndim-D float64 array (a number for ndim=0); text, bools, ragged
+    nesting, huge integers and non-finite values raise ConfigurationError naming it."""
     try:
         arr = np.asarray(a)
     except ValueError:  # ragged nesting
         arr = np.asarray(None)
     if arr.dtype.kind not in "iuf" or arr.ndim != ndim:
-        raise ConfigurationError(
-            f"{name} must be a {ndim}-D array of numbers, got {arr.dtype} {arr.shape}"
-        )
+        what = f"a {ndim}-D array of numbers" if ndim else "a number"
+        raise ConfigurationError(f"{name} must be {what}, got {arr.dtype} {arr.shape}")
     if not np.isfinite(arr).all():
         raise ConfigurationError(f"{name} contains non-finite values")
     return arr.astype(float, copy=False)
+
+
+def label_array(a, name, low=0):
+    """a as a 1-D int array of whole numbers >= low; anything else raises
+    ConfigurationError naming it."""
+    lab = float_array(a, name, ndim=1)
+    if (lab != np.trunc(lab)).any():
+        raise ConfigurationError(f"{name} must be whole numbers")
+    if (lab < low).any():
+        raise ConfigurationError(f"{name} must be >= {low}")
+    return lab.astype(int)
 
 
 @dataclass(frozen=True)
@@ -86,14 +105,10 @@ class DataSet:
             raise ConfigurationError("need at least one point and one feature")
         object.__setattr__(self, "points", pts)
         if self.truth_labels is not None:
-            lab = float_array(self.truth_labels, "truth_labels", ndim=1)
+            lab = label_array(self.truth_labels, "truth_labels")
             if lab.shape != (pts.shape[0],):
                 raise ConfigurationError("truth_labels length must match points")
-            if (lab != np.trunc(lab)).any():
-                raise ConfigurationError("truth_labels must be whole numbers")
-            if lab.min() < 0:
-                raise ConfigurationError("truth labels must be >= 0 (0 = noise)")
-            object.__setattr__(self, "truth_labels", lab.astype(int))
+            object.__setattr__(self, "truth_labels", lab)
         if self.truth_centers is not None:
             tc = float_array(self.truth_centers, "truth_centers")
             if tc.shape[1] != pts.shape[1]:

@@ -12,7 +12,6 @@ background noise, a tiny hand-written 17-point set, and the iris table.
 from __future__ import annotations
 
 import csv
-import numbers
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -20,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ConfigurationError, DataSet, float_array, json_field
+from .core import ConfigurationError, DataSet, float_array, json_field, natural
 
 
 class CsvFormatError(ConfigurationError):
@@ -66,12 +65,6 @@ def _tuples(value):
     return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
-def _check_natural(value, name):
-    """Raise ConfigurationError naming value unless it is an int >= 0 (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise ConfigurationError(f"{name} must be a nonnegative integer, got {value!r}")
-
-
 def _iso(var, dim):
     """Isotropic covariance var * I as nested tuples."""
     return tuple(
@@ -85,12 +78,12 @@ def generate(spec: MixtureSpec) -> DataSet:
     over noise_box (default: bounding box of the clean draw) labeled 0.
     Component 1's mean sets the dimension of the others and of the box.
     """
-    _check_natural(spec.seed, "seed")
-    _check_natural(spec.noise_count, "noise_count")
+    natural(spec.seed, "seed")
+    natural(spec.noise_count, "noise_count")
     rng = np.random.default_rng(spec.seed)
     blocks, labels, means = [], [], []
     for k, comp in enumerate(spec.components, start=1):
-        _check_natural(comp.count, f"component {k} count")
+        natural(comp.count, f"component {k} count")
         mean = float_array(comp.mean, f"component {k} mean", ndim=1)
         cov = float_array(comp.covariance, f"component {k} covariance")
         dim = means[0].size if means else mean.size
@@ -192,6 +185,8 @@ def load_csv(path, label_column=None) -> DataSet:
     The first row is a header when label_column is a name, or else when
     any of its cells outside the label column is non-numeric.
     """
+    if not (label_column is None or isinstance(label_column, str)):
+        natural(label_column, "label_column")
     path = Path(path)
     try:
         with path.open(newline="", encoding="utf-8") as fh:
@@ -274,7 +269,7 @@ FIXTURE_NAMES = tuple(sorted(_FIXTURE_BUILDERS))
 
 def make_fixture(name: str, seed: int = 0) -> DataSet:
     """Build a named fixture (experiment1 and iris ignore the seed but check it)."""
-    _check_natural(seed, "seed")
+    natural(seed, "seed")
     try:
         builder = _FIXTURE_BUILDERS[name]
     except KeyError:

@@ -14,20 +14,14 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import ConfigurationError, float_array
+from .core import ConfigurationError, float_array, label_array, natural
 
 
 def _check_pair(pred, truth):
-    pred, truth = float_array(pred, "pred", ndim=1), float_array(truth, "truth", ndim=1)
+    pred, truth = label_array(pred, "predicted labels"), label_array(truth, "truth labels", 1)
     if pred.shape != truth.shape or not pred.size:
         raise ConfigurationError("pred and truth must be nonempty 1-D arrays of equal length")
-    if (pred != np.trunc(pred)).any() or (truth != np.trunc(truth)).any():
-        raise ConfigurationError("pred and truth labels must be whole numbers")
-    if pred.min() < 0:
-        raise ConfigurationError("predicted labels must be >= 0 (0 = unassigned)")
-    if truth.min() < 1:
-        raise ConfigurationError("truth labels must be >= 1 on evaluated points")
-    return pred.astype(int), truth.astype(int)
+    return pred, truth
 
 
 def _confusion(pred, truth, m_true):
@@ -77,8 +71,7 @@ def success_rate(pred, truth, m_true: int):
     unmatched true classes count as errors.
     """
     pred, truth = _check_pair(pred, truth)
-    if m_true < 1:
-        raise ConfigurationError("m_true must be >= 1")
+    natural(m_true, "m_true", 1)
     if truth.max() > m_true:
         raise ConfigurationError("truth label exceeds m_true")
     conf = _confusion(pred, truth, m_true)
@@ -105,8 +98,7 @@ def mean_distance(theta, truth_centers) -> float:
     representatives are ignored); with fewer, every true center simply
     takes its nearest representative, reuse allowed.
     """
-    theta = np.atleast_2d(np.asarray(theta, dtype=float))
-    centers = np.atleast_2d(np.asarray(truth_centers, dtype=float))
+    theta, centers = _rows(theta, "theta"), _rows(truth_centers, "truth_centers")
     if theta.shape[1] != centers.shape[1]:
         raise ConfigurationError("dimension mismatch between theta and truth_centers")
     if not (theta.size and centers.size):
@@ -116,3 +108,12 @@ def mean_distance(theta, truth_centers) -> float:
         rows, cols = linear_sum_assignment(dist)
         return float(dist[rows, cols].mean())
     return float(dist.min(axis=1).mean())
+
+
+def _rows(a, name):
+    """a, a 2-D array or a single 1-D row, as a 2-D float array."""
+    try:
+        a = np.atleast_2d(a)
+    except ValueError:  # ragged nesting, which float_array reports
+        pass
+    return float_array(a, name)

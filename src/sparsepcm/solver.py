@@ -46,8 +46,8 @@ def compute_lambda(gamma_min, p, K):
     smallest-scale cluster keeps nonzero memberships exactly for points
     with d a bit beyond gamma_min; K = 0 disables sparsity.
     """
-    if gamma_min <= 0:
-        raise ConfigurationError("gamma_min must be positive")
+    if not 0.0 < gamma_min < math.inf:
+        raise ConfigurationError("gamma_min must be positive and finite")
     if not 0.0 < p < 1.0:
         raise ConfigurationError("p must lie in (0,1)")
     if not 0.0 <= K < 1.0:

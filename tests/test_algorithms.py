@@ -53,11 +53,14 @@ def test_config_validation():
         dict(m_ini=2.5), dict(m_ini="2"), dict(m_ini=True), dict(max_iter=3.5),
         dict(seed=-1), dict(seed=1.0), dict(alpha="1"), dict(p=None),
         dict(theta_tol=float("nan")), dict(K=True),
+        # integers past float range are no finite number
+        dict(theta_tol=10**400), dict(p=10**400),
     ]:
         with pytest.raises(ConfigurationError):
             AlgoConfig(**{"algorithm": "sapcm", "m_ini": 3, "alpha": 1.0, **bad})
-    for bad in [dict(theta_tol=0.0), dict(max_iter=0)]:
-        with pytest.raises(ConfigurationError, match="theta_tol, max_iter must be positive"):
+    for bad, message in [(dict(theta_tol=0.0), "theta_tol must be positive"),
+                         (dict(max_iter=0), "max_iter must be an integer >= 1, got 0")]:
+        with pytest.raises(ConfigurationError, match=message):
             AlgoConfig(**{"algorithm": "sapcm", "m_ini": 3, "alpha": 1.0, **bad})
 
 

@@ -68,18 +68,28 @@ def test_load_csv_rejects_ragged_rows(tmp_path):
         load_csv(p)
 
 
+_LETTERS = "1,2,a\n3,4,b\n5,6,a\n"
+
+
 @pytest.mark.parametrize("text, label_column, message", [
     ("", None, "empty file"),
     ("x,y\n", None, "header but no data rows"),
     ("x,y\n1,2\n", "cls", "unknown label column 'cls'"),
     ("1,2\n3,4\n", "2", "label column index 2 out of range"),
+    ("1,2\n3,4\n", "-1", "label column index -1 out of range"),
     ("1,2\n3,four\n", None, "non-numeric cell at row 2, column 1: 'four'"),
+    # a column index is a nonnegative int, never a float or a bool
+    (_LETTERS, 1.5, r"label_column must be a nonnegative integer, got 1\.5"),
+    (_LETTERS, True, "label_column must be a nonnegative integer, got True"),
+    (_LETTERS, 2.0, r"label_column must be a nonnegative integer, got 2\.0"),
 ])
 def test_load_csv_rejects_malformed_files(tmp_path, text, label_column, message):
     p = tmp_path / "bad.csv"
     p.write_text(text)
-    with pytest.raises(CsvFormatError, match=message):
+    with pytest.raises(ConfigurationError, match=message) as err:
         load_csv(p, label_column=label_column)
+    # a file fault is a CsvFormatError, a wrongly typed argument is not
+    assert isinstance(err.value, CsvFormatError) == isinstance(label_column, (str, type(None)))
 
 
 def test_load_csv_rejects_header_of_another_width(tmp_path):
@@ -374,6 +384,8 @@ def test_exit_code_2_on_bad_configuration(tmp_path, capsys):
         ({"input": {"generator": str(gens[2])}}, "error:"),
         ({"schema_version": 2}, "unsupported schema_version 2"),
         ({"runs": [{**ok_run, "tol": 1e-6}]}, "unknown run options: ['tol']"),
+        # a JSON integer past float range is no finite number
+        ({"runs": [{**ok_run, "theta_tol": 10**400}]}, "theta_tol must be"),
     ] + [
         ({"input": {"generator": str(g)}}, message)
         for g, (_, message) in zip(gens[3:], spec_named)

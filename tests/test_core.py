@@ -154,3 +154,22 @@ def test_every_public_src_name_is_used_in_src():
             )
     assert {"run", "DataSet", "to_dict"} <= public
     assert sorted(public - used - {"main"}) == []
+
+
+def test_argument_rules_have_one_owner():
+    """The integer, scalar and label rules live in core: no other module of
+    the package imports numbers or truncates labels with np.trunc."""
+    for path in Path(sparsepcm.__file__).parent.glob("*.py"):
+        if path.name == "core.py":
+            continue
+        named = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+            elif isinstance(node, ast.ImportFrom):
+                named.add(node.module)
+        assert not named & {"numbers", "trunc"}, path.name

@@ -86,8 +86,11 @@ def test_truth_labels_must_be_positive():
 
 def test_argument_errors_are_configuration_errors():
     pair = np.array([1, 2]), np.array([1, 2])
-    with pytest.raises(ConfigurationError, match="m_true must be >= 1"):
-        success_rate(*pair, 0)
+    # m_true is a count: a fraction or a bool is refused, not truncated
+    for pred, truth, m_true in (([1, 2], [1, 2], 0), ([1, 1, 2], [1, 1, 2], 2.5),
+                                ([1, 1, 2], [1, 1, 1], True)):
+        with pytest.raises(ConfigurationError, match="m_true must be an integer >= 1"):
+            success_rate(pred, truth, m_true)
     with pytest.raises(ConfigurationError, match="truth label exceeds m_true"):
         success_rate(*pair, 1)
     for score in (rand_measure, lambda p, t: success_rate(p, t, 2)):
@@ -107,6 +110,14 @@ def test_argument_errors_are_configuration_errors():
                            (np.zeros((1, 2)), np.zeros((0, 2)))):
         with pytest.raises(ConfigurationError, match="at least one row"):
             mean_distance(theta, centers)
+    # non-finite, text and ragged input is refused with the argument's name
+    for theta, centers, name in ((np.array([[np.nan, 0.0]]), np.zeros((1, 2)), "theta"),
+                                 ("ab", np.zeros((1, 2)), "theta"),
+                                 (np.zeros((1, 2)), [[0.0, 0.0], [1.0]], "truth_centers")):
+        with pytest.raises(ConfigurationError, match=f"^{name} "):
+            mean_distance(theta, centers)
+    # a single 1-D row is still a one-row matrix
+    assert mean_distance([3.0, 4.0], np.zeros((1, 2))) == pytest.approx(5.0)
 
 
 def test_mean_distance_optimal_assignment():

@@ -53,8 +53,9 @@ def test_compute_lambda_reference_value():
 
 
 def test_compute_lambda_validation():
-    with pytest.raises(ConfigurationError, match="gamma_min must be positive"):
-        compute_lambda(-1.0, 0.5, 0.9)
+    for gamma_min in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError, match="gamma_min must be positive"):
+            compute_lambda(gamma_min, 0.5, 0.9)
     with pytest.raises(ConfigurationError, match=r"p must lie in \(0,1\)"):
         compute_lambda(1.0, 1.5, 0.9)
     with pytest.raises(ConfigurationError, match=r"K must lie in \[0,1\)"):
