@@ -1,5 +1,9 @@
 """Clustering evaluation: Rand measure, success rate, mean center distance.
 
+Success rate and mean distance both rest on an optimal one-to-one
+matching, which _assignment solves exactly in plain Python, so the
+package needs numpy alone.
+
 Conventions shared by all three: true labels run 1..m_true, predicted
 labels are arbitrary nonnegative ints where 0 means "unassigned/noise".
 Callers evaluate only points whose true label is positive. Points the
@@ -11,10 +15,11 @@ separately (zero-label fraction, m_final, MD).
 
 from __future__ import annotations
 
-import numpy as np
-from scipy.optimize import linear_sum_assignment
+import math
 
-from .core import ConfigurationError, float_array, label_array, natural
+import numpy as np
+
+from .core import ConfigurationError, NumericalError, float_array, label_array, natural
 
 
 def _check_pair(pred, truth):
@@ -78,7 +83,7 @@ def success_rate(pred, truth, m_true: int):
     n = int(conf.sum())
     if n == 0:
         return 0.0, [0.0] * m_true
-    rows, cols = linear_sum_assignment(conf, maximize=True)
+    rows, cols = _assignment(conf, maximize=True)
     correct_per_class = np.zeros(m_true, dtype=np.int64)
     correct_per_class[rows] = conf[rows, cols]
     class_sizes = conf.sum(axis=1)
@@ -103,11 +108,76 @@ def mean_distance(theta, truth_centers) -> float:
         raise ConfigurationError("dimension mismatch between theta and truth_centers")
     if not (theta.size and centers.size):
         raise ConfigurationError("theta and truth_centers need at least one row each")
-    dist = np.linalg.norm(centers[:, None, :] - theta[None, :, :], axis=2)
+    # in units of the largest power of two not above any coordinate's
+    # magnitude: scaled coordinates lie within ±2, so no square overflows,
+    # and a power-of-two unit keeps the unscaled bits
+    top = float(max(np.abs(theta).max(), np.abs(centers).max()))
+    scale = math.ldexp(0.5, math.frexp(top)[1])
+    dist = np.linalg.norm(centers[:, None, :] / scale - theta[None, :, :] / scale, axis=2)
+    if math.isinf(float(dist.max()) * scale):
+        raise NumericalError("truth_centers lie farther from theta than float64 can hold")
     if theta.shape[0] >= centers.shape[0]:
-        rows, cols = linear_sum_assignment(dist)
-        return float(dist[rows, cols].mean())
-    return float(dist.min(axis=1).mean())
+        rows, cols = _assignment(dist)
+        return float(dist[rows, cols].mean() * scale)
+    return float(dist.min(axis=1).mean() * scale)
+
+
+def _assignment(cost, maximize=False):
+    """(rows, cols) of a one-to-one matching of the shorter side of cost into
+    the longer with the least total cost (the most with maximize), the
+    arrays and tie-breaking of scipy's linear_sum_assignment.
+
+    Shortest augmenting paths, one row at a time (Crouse, IEEE TAES 52
+    (2016) 1679-1696). A non-finite cost raises NumericalError.
+    """
+    cost = np.asarray(cost, dtype=float)
+    if not np.isfinite(cost).all():
+        raise NumericalError("assignment cost is not finite")
+    transpose = cost.shape[1] < cost.shape[0]
+    c = -cost if maximize else cost
+    if transpose:
+        c = c.T
+    nr, nc = c.shape
+    c = c.tolist()
+    u, v, path = [0.0] * nr, [0.0] * nc, [-1] * nc
+    col4row, row4col = [-1] * nr, [-1] * nc
+    for cur in range(nr):
+        # columns scanned last first, the chosen one swapped with the last:
+        # scipy's order, which decides between equal-cost matchings
+        remaining, short = list(range(nc - 1, -1, -1)), [math.inf] * nc
+        cols, i, min_val, sink = [], cur, 0.0, -1
+        while sink < 0:
+            lowest, index = math.inf, -1
+            for k, j in enumerate(remaining):
+                r = min_val + c[i][j] - u[i] - v[j]
+                if r < short[j]:
+                    path[j], short[j] = i, r
+                # on a tie, prefer a free column: it ends the path
+                if short[j] < lowest or (short[j] == lowest and row4col[j] < 0):
+                    lowest, index = short[j], k
+            min_val, j = lowest, remaining[index]
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        # duals: every column on the path, and the row matched to each but the sink
+        u[cur] += min_val
+        for j in cols:
+            v[j] -= min_val - short[j]
+            if j != sink:
+                u[row4col[j]] += min_val - short[j]
+        j, i = sink, -1
+        while i != cur:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+    if transpose:
+        order = np.argsort(col4row)
+        return np.asarray(col4row)[order], order
+    return np.arange(nr), np.asarray(col4row)
 
 
 def _rows(a, name):

@@ -1,10 +1,15 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sparsepcm
 from sparsepcm import ConfigurationError
 from sparsepcm.cli import ExperimentConfig, _build_parser, main
 from sparsepcm.datagen import FIXTURE_NAMES, CsvFormatError, iris_path, load_csv
@@ -432,3 +437,22 @@ def test_exit_code_1_on_failed_run(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "run failed" in err
+
+
+def test_cli_run_leaves_scipy_unimported(tmp_path):
+    """The package needs numpy alone: a whole CLI run in a fresh interpreter
+    imports no scipy module."""
+    argv = ["--fixture", "experiment1", "--algo", "spcm", "--m-ini", "2", "--out", str(tmp_path)]
+    code = (
+        "import sys\nfrom sparsepcm.cli import main\n"
+        f"status = main({argv!r})\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "sys.exit(status)\n"
+    )
+    src = str(Path(sparsepcm.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "report.json").is_file()

@@ -173,3 +173,16 @@ def test_argument_rules_have_one_owner():
             elif isinstance(node, ast.ImportFrom):
                 named.add(node.module)
         assert not named & {"numbers", "trunc"}, path.name
+
+
+def test_no_module_imports_scipy():
+    """The package runs on numpy alone; scipy serves only the tests."""
+    for path in Path(sparsepcm.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not [m for m in modules if m.split(".")[0] == "scipy"], path.name

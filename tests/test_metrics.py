@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
-from sparsepcm.core import ConfigurationError
-from sparsepcm.metrics import mean_distance, rand_measure, success_rate
+from sparsepcm import AlgoConfig, run
+from sparsepcm.core import ConfigurationError, DataSet, NumericalError
+from sparsepcm.metrics import _assignment, mean_distance, rand_measure, success_rate
 
 
 def test_perfect_labeling():
@@ -140,3 +142,57 @@ def test_mean_distance_extra_representatives():
     centers = np.array([[0.0, 0.0]])
     theta = np.array([[0.5, 0.0], [50.0, 0.0]])
     assert mean_distance(theta, centers) == pytest.approx(0.5)
+
+
+def _assignment_tables():
+    """Seeded tables up to 8 x 8: random floats, 0-2 and 0-49 integers for
+    ties, and the degenerate shapes and constant tables."""
+    rng = np.random.default_rng(1679)
+    for _ in range(700):
+        shape = rng.integers(1, 9, size=2)
+        yield rng.random(shape)
+        yield rng.integers(0, 3, shape)
+        yield rng.integers(0, 50, shape)
+    for k in range(1, 9):
+        yield rng.random((1, k))
+        yield rng.integers(0, 3, (1, k))
+        for n in range(1, 9):
+            yield np.full((n, k), 7.0)
+            yield np.zeros((n, k), dtype=int)
+
+
+def test_assignment_matches_scipy():
+    """The same matching as scipy's linear_sum_assignment, not just the same
+    optimum: sr_per_cluster depends on which optimal matching is taken."""
+    checked = 0
+    for table in _assignment_tables():
+        for cost in (table, table.T):
+            for maximize in (False, True):
+                want = linear_sum_assignment(cost, maximize=maximize)
+                got = _assignment(cost, maximize=maximize)
+                assert cost[got].sum() == cost[want].sum()
+                np.testing.assert_array_equal(got[0], want[0])
+                np.testing.assert_array_equal(got[1], want[1])
+                checked += 1
+    assert checked >= 5000
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_assignment_refuses_a_non_finite_cost(bad):
+    for maximize in (False, True):
+        with pytest.raises(NumericalError, match="not finite"):
+            _assignment(np.array([[1.0, bad], [2.0, 3.0]]), maximize=maximize)
+
+
+def test_mean_distance_beyond_squares_range():
+    """Distances whose squares overflow are still scored; one that float64
+    cannot hold raises NumericalError naming truth_centers."""
+    rng = np.random.default_rng(0)
+    points = np.vstack([rng.normal(0.0, 0.3, (30, 2)), rng.normal(4.0, 0.3, (30, 2))])
+    data = DataSet(points=points, truth_labels=np.repeat([1, 2], 30),
+                   truth_centers=[[0.0, 0.0], [1e160, 0.0]])
+    md = run(data, AlgoConfig("spcm", 2, seed=0)).metrics["md"]
+    assert md == pytest.approx(5e159, rel=1e-12)
+    assert mean_distance([[3e200, 4e200]], [[0.0, 0.0]]) == pytest.approx(5e200)
+    with pytest.raises(NumericalError, match="^truth_centers "):
+        mean_distance([[-1e308, 0.0]], [[1e308, 0.0]])
