@@ -36,7 +36,7 @@ from .core import (
     squared_distances,
 )
 from .fcm import eta_init_sapcm, gamma_init_pcm, run_fcm
-from .metrics import mean_distance, rand_measure, success_rate
+from .metrics import score
 from .solver import compute_lambda, update_memberships
 
 _DUPLICATE_RADIUS_FACTOR = 1.5
@@ -159,18 +159,6 @@ def remove_duplicates(theta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _metrics_for(data: DataSet, labels: np.ndarray, theta: np.ndarray):
-    """RM/SR/MD over the points with a positive true label; None when
-    the data has no such point. MD needs the true centers."""
-    if data.truth_labels is None or not (data.truth_labels > 0).any():
-        return None
-    mask, centers = data.truth_labels > 0, data.truth_centers
-    truth, pred = data.truth_labels[mask], labels[mask]
-    sr, sr_pc = success_rate(pred, truth, int(truth.max()) if centers is None else len(centers))
-    md = None if centers is None else mean_distance(theta, centers)
-    return {"rm": rand_measure(pred, truth), "sr": sr, "sr_per_cluster": sr_pc, "md": md}
-
-
 def run(data: DataSet, config: AlgoConfig) -> RunReport:
     """Run the configured algorithm.
 
@@ -241,7 +229,7 @@ def run(data: DataSet, config: AlgoConfig) -> RunReport:
         lam_final=lam,
         labels_final=labels,
         seed=config.seed,
-        metrics=_metrics_for(data, labels, theta),
+        metrics=score(data, labels, theta),
         history=history,
         memberships=u,
     )

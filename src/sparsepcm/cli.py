@@ -40,7 +40,8 @@ _PLOT_PAD = 40
 
 @dataclass
 class ExperimentConfig:
-    """One experiment: a single input dataset and a list of runs."""
+    """One experiment: a single input dataset and a list of runs. A fixture
+    draws with fixture_seed, by default the first run's seed."""
 
     runs: list
     output_dir: Path
@@ -48,12 +49,14 @@ class ExperimentConfig:
     label_column: Optional[str] = None
     generator_path: Optional[Path] = None
     fixture: Optional[str] = None
-    fixture_seed: int = 0
+    fixture_seed: Optional[int] = None
     emit: tuple = _EMIT_CHOICES
 
     def __post_init__(self):
         if not self.runs:
             raise ConfigurationError("experiment needs at least one run")
+        if self.fixture_seed is None:
+            self.fixture_seed = self.runs[0].seed
         if sum(s is not None for s in (self.csv_path, self.generator_path, self.fixture)) != 1:
             raise ConfigurationError(
                 "exactly one input source (csv, generator spec, or fixture) required"
@@ -106,16 +109,16 @@ def _svg_plot(path: Path, data: DataSet, report: RunReport):
         # flip so the y axis points up
         return _PLOT_SIZE - _PLOT_PAD - (y - lo[1]) * scale
 
-    palette = ["#777777", "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
-               "#ff7f0e", "#8c564b", "#e377c2", "#17becf", "#bcbd22",
-               "#7f7f7f"]
+    # the clusters cycle over these colors, so none takes label 0's gray
+    palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
+               "#8c564b", "#e377c2", "#17becf", "#bcbd22"]
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_PLOT_SIZE}" '
         f'height="{_PLOT_SIZE}" viewBox="0 0 {_PLOT_SIZE} {_PLOT_SIZE}">',
         f'<rect width="{_PLOT_SIZE}" height="{_PLOT_SIZE}" fill="white"/>',
     ]
     for (x, y), lab in zip(pts, report.labels_final):
-        color = palette[int(lab) % len(palette)]
+        color = palette[(int(lab) - 1) % len(palette)] if lab else "#777777"
         lines.append(
             f'<rect x="{sx(x) - 1.2:.2f}" y="{sy(y) - 1.2:.2f}" width="2.4" '
             f'height="2.4" fill="{color}"/>'
@@ -246,8 +249,7 @@ def _config_from_args(args) -> ExperimentConfig:
     if args.emit:
         emit = [e.strip() for e in args.emit.split(",") if e.strip()]
     out = args.out or json_field(base, "output_dir", str, "a directory path", "out")
-    fixture_seed = json_field(
-        base, "fixture_seed", int, "a nonnegative integer", runs[0].seed)
+    fixture_seed = json_field(base, "fixture_seed", int, "a nonnegative integer", None)
     return ExperimentConfig(
         runs=runs,
         output_dir=Path(out),

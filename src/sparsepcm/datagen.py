@@ -178,7 +178,7 @@ def _three_cluster_spec(seed, noise_count=0):
 
 
 def load_csv(path, label_column=None) -> DataSet:
-    """Parse a numeric CSV into a DataSet.
+    """Parse a numeric UTF-8 CSV, byte-order mark or not, into a DataSet.
 
     label_column may be a header name or a 0-based column index; its
     values are mapped to class ids 1..m_true in first-appearance order.
@@ -189,7 +189,7 @@ def load_csv(path, label_column=None) -> DataSet:
         natural(label_column, "label_column")
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             rows = [row for row in csv.reader(fh) if row]
     except UnicodeDecodeError as exc:
         raise CsvFormatError(f"{path}: not UTF-8 text: {exc}") from None

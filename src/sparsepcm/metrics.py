@@ -6,11 +6,10 @@ package needs numpy alone.
 
 Conventions shared by all three: true labels run 1..m_true, predicted
 labels are arbitrary nonnegative ints where 0 means "unassigned/noise".
-Callers evaluate only points whose true label is positive. Points the
-algorithm left unassigned (predicted 0) are excluded from the pairing
-and matching universe: both scores describe the quality of the labeling
-the algorithm actually produced, not its coverage. Coverage shows up
-separately (zero-label fraction, m_final, MD).
+Points the algorithm left unassigned (predicted 0) are excluded from
+the pairing and matching universe: both scores describe the quality of
+the labeling the algorithm actually produced, not its coverage.
+Coverage shows up separately (zero-label fraction, m_final, MD).
 """
 
 from __future__ import annotations
@@ -120,6 +119,19 @@ def mean_distance(theta, truth_centers) -> float:
         rows, cols = _assignment(dist)
         return float(dist[rows, cols].mean() * scale)
     return float(dist.min(axis=1).mean() * scale)
+
+
+def score(data, labels, theta):
+    """rm, sr, sr_per_cluster and md of labels over the points of data with a
+    positive true label (None if there is none), against len(truth_centers)
+    classes, else the largest true label; md is None without truth_centers."""
+    if data.truth_labels is None or not (data.truth_labels > 0).any():
+        return None
+    mask, centers = data.truth_labels > 0, data.truth_centers
+    truth, pred = data.truth_labels[mask], labels[mask]
+    sr, sr_pc = success_rate(pred, truth, int(truth.max()) if centers is None else len(centers))
+    md = None if centers is None else mean_distance(theta, centers)
+    return {"rm": rand_measure(pred, truth), "sr": sr, "sr_per_cluster": sr_pc, "md": md}
 
 
 def _assignment(cost, maximize=False):

@@ -6,11 +6,12 @@ Runs perfbench's SPARSE_PAIRS (through algorithms.run) and CLASSIC_PAIRS
 (through cli.run_experiment, every artifact written) at fixture seeds
 0-2, then workloads.small_n_case(0..59) under all four algorithms at
 max_iter 50. Each line names the run and gives m_final, iterations,
-converged and the sha256 of the report's to_dict() without wall_time;
-a classic run adds the sha256 of each artifact, report.json again
-without wall_time. A run that raises a ClusteringError prints it
-instead. Run the script from two checkouts and diff the output: equal
-lines mean equal records, bit for bit.
+converged, the sha256 of the report's to_dict() without wall_time and
+the sha256 of the bytes of its membership matrix, which to_dict()
+leaves out; a classic run adds the sha256 of each artifact,
+report.json again without wall_time. A run that raises a
+ClusteringError prints it instead. Run the script from two checkouts
+and diff the output: equal lines mean equal records, bit for bit.
 
 pytest does not collect this file; test_record_digest.py checks that it
 is deterministic.
@@ -21,6 +22,8 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -68,8 +71,9 @@ def digest_line(name, data, config, fixture=None, fixture_seed=0):
     except ClusteringError as exc:
         return f"{name} error={type(exc).__name__}: {exc}"
     record = _sha(_without_wall_time(report.to_dict()))
+    u = hashlib.sha256(np.ascontiguousarray(report.memberships).tobytes()).hexdigest()
     return (f"{name} m_final={report.m_final} iterations={report.iterations} "
-            f"converged={report.converged} record={record}{files}")
+            f"converged={report.converged} record={record} memberships={u}{files}")
 
 
 def fixture_lines(pairs, via_cli):

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import sparsepcm
-from sparsepcm import ConfigurationError
-from sparsepcm.cli import ExperimentConfig, _build_parser, main
+from sparsepcm import AlgoConfig, ConfigurationError, DataSet, RunReport
+from sparsepcm.cli import ExperimentConfig, _build_parser, _svg_plot, main, run_experiment
 from sparsepcm.datagen import FIXTURE_NAMES, CsvFormatError, iris_path, load_csv
 
 
@@ -114,6 +114,23 @@ def test_load_csv_rejects_undecodable_bytes(tmp_path):
     with pytest.raises(CsvFormatError, match="latin1.csv"):
         load_csv(p)
 
+
+def test_load_csv_skips_a_byte_order_mark_before_data(tmp_path):
+    # the mark does not turn the first row of numbers into a header
+    p = tmp_path / "bom.csv"
+    p.write_bytes(b"\xef\xbb\xbf1.0,2.0\n3.0,4.0\n5.0,6.0\n")
+    data = load_csv(p)
+    assert data.n_points == 3
+    np.testing.assert_array_equal(data.points[0], [1.0, 2.0])
+
+
+def test_load_csv_skips_a_byte_order_mark_before_a_header(tmp_path):
+    # the first header name is found without the mark
+    p = tmp_path / "bom_header.csv"
+    p.write_bytes(b"\xef\xbb\xbfa,b,label\nx,1.0,2.0\ny,3.0,4.0\nx,5.0,6.0\n")
+    data = load_csv(p, label_column="a")
+    assert data.truth_labels.tolist() == [1, 2, 1]
+    np.testing.assert_array_equal(data.points, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
 
 def test_load_csv_directory_is_a_configuration_error(tmp_path):
     with pytest.raises(ConfigurationError, match=re.escape(str(tmp_path))):
@@ -456,3 +473,39 @@ def test_cli_run_leaves_scipy_unimported(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "report.json").is_file()
+
+
+def test_fixture_seed_defaults_to_the_first_runs_seed_in_library_and_cli(tmp_path):
+    """run_experiment and the CLI draw the same fixture from the same settings."""
+    lib, cli = tmp_path / "lib", tmp_path / "cli"
+    run_experiment(ExperimentConfig(runs=[AlgoConfig("spcm", 2, seed=3)], output_dir=lib,
+                                    fixture="example4"))
+    assert main(["--algo", "spcm", "--m-ini", "2", "--seed", "3", "--fixture", "example4",
+                 "--out", str(cli)]) == 0
+    docs = [json.loads((out / "report.json").read_text()) for out in (lib, cli)]
+    for doc in docs:
+        for report in doc["reports"]:
+            del report["wall_time"]
+    assert docs[0] == docs[1]
+
+
+def test_plot_draws_no_cluster_in_the_unassigned_color(tmp_path):
+    """Only label 0 is gray: labels past the palette cycle over the cluster
+    colors, so an 11-cluster run draws labels 10 and 11 like 1 and 2."""
+    m = 11
+    theta = np.column_stack([np.arange(m, dtype=float), np.zeros(m)])
+    points = np.vstack([theta, [[5.0, 3.0]]])
+    labels = np.append(np.arange(1, m + 1), 0)
+    report = RunReport(
+        algorithm="spcm", m_ini=m, m_final=m, iterations=1, converged=True,
+        fcm_iterations=1, fcm_converged=True, wall_time=0.0, theta_final=theta,
+        gamma_final=np.full(m, 0.01), lam_final=0.0, labels_final=labels, seed=0,
+    )
+    path = tmp_path / "plot.svg"
+    _svg_plot(path, DataSet(points=points), report)
+    fills = re.findall(r'<rect x=\S+ y=\S+ width="2.4" height="2.4" fill="([^"]+)"', path.read_text())
+    color = dict(zip(labels.tolist(), fills))
+    assert len(fills) == m + 1
+    assert color[0] == "#777777"
+    assert "#777777" not in [color[k] for k in range(1, m + 1)]
+    assert (color[10], color[11]) == (color[1], color[2])

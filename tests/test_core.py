@@ -186,3 +186,16 @@ def test_no_module_imports_scipy():
             else:
                 continue
             assert not [m for m in modules if m.split(".")[0] == "scipy"], path.name
+
+
+def test_only_core_datagen_and_metrics_read_the_truth():
+    """The scoring rule has one owner: outside core, datagen and metrics no
+    module of the package reads a DataSet's truth_labels or truth_centers."""
+    readers = set()
+    for path in Path(sparsepcm.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("truth_labels",
+                                                                 "truth_centers"):
+                readers.add(path.stem)
+    assert "metrics" in readers
+    assert sorted(readers - {"core", "datagen", "metrics"}) == []

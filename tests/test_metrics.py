@@ -4,7 +4,13 @@ from scipy.optimize import linear_sum_assignment
 
 from sparsepcm import AlgoConfig, run
 from sparsepcm.core import ConfigurationError, DataSet, NumericalError
-from sparsepcm.metrics import _assignment, mean_distance, rand_measure, success_rate
+from sparsepcm.metrics import (
+    _assignment,
+    mean_distance,
+    rand_measure,
+    score,
+    success_rate,
+)
 
 
 def test_perfect_labeling():
@@ -196,3 +202,39 @@ def test_mean_distance_beyond_squares_range():
     assert mean_distance([[3e200, 4e200]], [[0.0, 0.0]]) == pytest.approx(5e200)
     with pytest.raises(NumericalError, match="^truth_centers "):
         mean_distance([[-1e308, 0.0]], [[1e308, 0.0]])
+
+
+_FOUR_POINTS = np.array([[0.0, 0.0], [0.0, 1.0], [5.0, 0.0], [5.0, 1.0]])
+
+
+def test_score_without_truth_labels_is_none():
+    data = DataSet(points=_FOUR_POINTS)
+    assert score(data, np.array([1, 1, 2, 2]), _FOUR_POINTS[[0, 2]]) is None
+
+
+def test_score_with_noise_only_truth_is_none():
+    data = DataSet(points=_FOUR_POINTS, truth_labels=[0, 0, 0, 0])
+    assert score(data, np.array([1, 1, 2, 2]), _FOUR_POINTS[[0, 2]]) is None
+
+
+def test_score_without_centers_counts_classes_to_the_largest_label():
+    # class 2 is absent: m_true is the largest label, 3, and class 2 scores 0
+    data = DataSet(points=_FOUR_POINTS, truth_labels=[1, 1, 3, 3])
+    scores = score(data, np.array([1, 1, 2, 2]), _FOUR_POINTS[[0, 2]])
+    assert list(scores) == ["rm", "sr", "sr_per_cluster", "md"]
+    assert scores["md"] is None
+    assert scores["rm"] == pytest.approx(100.0)
+    assert scores["sr"] == pytest.approx(100.0)
+    assert scores["sr_per_cluster"] == pytest.approx([100.0, 0.0, 100.0])
+
+
+def test_score_counts_a_center_whose_class_drew_no_points():
+    # the noise point (truth 0) is not scored; class 3 has a center but no point
+    points = np.vstack([_FOUR_POINTS, [[9.0, 9.0]]])
+    centers = [[0.0, 0.5], [5.0, 0.5], [20.0, 0.0]]
+    data = DataSet(points=points, truth_labels=[1, 1, 2, 2, 0], truth_centers=centers)
+    scores = score(data, np.array([1, 1, 2, 2, 1]), np.array(centers))
+    assert list(scores) == ["rm", "sr", "sr_per_cluster", "md"]
+    assert scores["sr"] == pytest.approx(100.0)
+    assert scores["sr_per_cluster"] == pytest.approx([100.0, 100.0, 0.0])
+    assert scores["md"] == 0.0

@@ -12,4 +12,4 @@ def test_two_calls_on_one_case_print_the_same_line():
                                        fixture="example4", fixture_seed=0)
              for _ in range(2)]
     assert lines[0] == lines[1]
-    assert "record=" in lines[0] and "plot.svg=" in lines[0], lines[0]
+    assert all(f" {key}=" in lines[0] for key in ("record", "memberships", "plot.svg")), lines[0]
