@@ -37,7 +37,7 @@ from .core import (
 )
 from .fcm import eta_init_sapcm, gamma_init_pcm, run_fcm
 from .metrics import score
-from .solver import compute_lambda, update_memberships
+from .solver import compute_lambda, membership_work, update_memberships
 
 _DUPLICATE_RADIUS_FACTOR = 1.5
 
@@ -86,7 +86,9 @@ class AlgoConfig:
 def update_theta(u: np.ndarray, data: DataSet, live: np.ndarray) -> np.ndarray:
     """Membership-weighted means of the columns flagged in live."""
     # the column sums of the full u: numpy sums the column-major u[:, live]
-    # in another order, and so to other last bits
+    # in another order, and so to other last bits. The product must read
+    # that copy, even when every column is live: the matrix product of
+    # the row-major u itself adds in another order too
     return (u[:, live].T @ data.points) / u.sum(axis=0)[live, None]
 
 
@@ -185,8 +187,18 @@ def run(data: DataSet, config: AlgoConfig) -> RunReport:
     theta = fcm.theta
     lam = compute_lambda(float(gamma.min()), config.p, config.K)
     history = []
+    u = None
     for t in range(config.max_iter):
-        u = update_memberships(squared_distances(data, theta), gamma, lam, config.p)
+        if u is None or u.shape[1] != len(gamma):
+            # one workspace for each cluster count. d is column-major, so
+            # the per-feature differences run along the N points; u is
+            # row-major for update_theta, whose sums get their last bits
+            # from the layout
+            shape = (data.n_points, len(gamma))
+            d = u = work = None  # drop the old workspace first, or both would be live
+            d, u, work = np.empty(shape, order="F"), np.empty(shape), membership_work(*shape)
+        u = update_memberships(squared_distances(data, theta, out=d), gamma, lam, config.p,
+                               out=u, work=work)
         if adaptive:
             labels = assign_labels(u)
             live = np.bincount(labels, minlength=len(gamma) + 1)[1:] > 0

@@ -68,10 +68,10 @@ class ExperimentConfig:
 
 
 def _load_json(path):
-    """The parsed JSON file; one not readable as UTF-8 JSON raises
-    ConfigurationError naming it."""
+    """The parsed JSON file, a leading byte-order mark skipped; one not
+    readable as UTF-8 JSON raises ConfigurationError naming it."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (OSError, ValueError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from None
 

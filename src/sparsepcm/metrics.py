@@ -124,7 +124,11 @@ def mean_distance(theta, truth_centers) -> float:
 def score(data, labels, theta):
     """rm, sr, sr_per_cluster and md of labels over the points of data with a
     positive true label (None if there is none), against len(truth_centers)
-    classes, else the largest true label; md is None without truth_centers."""
+    classes, else the largest true label; md is None without truth_centers.
+    labels must hold one label per point of data."""
+    labels = label_array(labels, "labels")
+    if labels.shape != (data.n_points,):
+        raise ConfigurationError(f"{labels.size} labels for {data.n_points} points")
     if data.truth_labels is None or not (data.truth_labels > 0).any():
         return None
     mask, centers = data.truth_labels > 0, data.truth_centers

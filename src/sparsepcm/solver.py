@@ -27,7 +27,10 @@ tolerance and no units.
 update_memberships(d, gamma, lam, p) solves every entry of an N x m
 matrix at once from the squared distances alone; it never reads the
 representatives. With lam = 0 everything collapses to the classical
-exponential membership exp(-d/gamma).
+exponential membership exp(-d/gamma). A caller that solves again and
+again, as the main loop does, hands it the result array and a scratch
+from membership_work(N, m), so that no call allocates an N x m float
+array.
 """
 
 from __future__ import annotations
@@ -55,40 +58,112 @@ def compute_lambda(gamma_min, p, K):
     return K * gamma_min * math.exp(p - 2.0) / (p * (1.0 - p))
 
 
-def _lambert_w0(z):
+def membership_work(n: int, m: int) -> np.ndarray:
+    """Scratch for update_memberships on N x m matrices, to reuse across calls.
+
+    Row 0 holds the kept entries' z, rows 1-5 _lambert_w0's work (row 1
+    holds ln(-z) of every entry before) and row 6 the memberships when
+    out does not share d's memory order.
+    """
+    return np.empty((7, n * m))
+
+
+def _lambert_w0(z, work=None):
     """Principal branch W0 of w*e**w = z for an array z in (-1/e, 0].
 
     Starts from the branch-point series for z < -0.25 and from z*(1 - z)
     elsewhere, then takes three Halley steps. They reach the accuracy
     the equation allows: a few ulps, growing like eps/(1 + w) next to the
     branch point at z = -1/e, w = -1.
+
+    work, 5 rows of at least z.size floats, holds the result (its first
+    row) and the temporaries; without it they are allocated. Each step
+    is w - f / (ew*(w+1) - (w+2)*f/(2*w+2)) with f = w*ew - z, evaluated
+    in place one operation at a time, operands swapped only where the
+    operation commutes, so the result has the expression's bits.
     """
-    s = np.sqrt(2.0 * (math.e * z + 1.0))
-    w = np.where(z < -0.25, s * (1.0 - s / 3.0) - 1.0, z * (1.0 - z))
+    if work is None:
+        work = np.empty((5, z.size))
+    w, ew, f, t, g = work[:, :z.size]
+    # s = sqrt(2*(e*z + 1)) in t, the series s*(1 - s/3) - 1 in ew
+    np.multiply(z, math.e, out=t)
+    t += 1.0
+    t *= 2.0
+    np.sqrt(t, out=t)
+    np.divide(t, 3.0, out=ew)
+    np.subtract(1.0, ew, out=ew)
+    ew *= t
+    ew -= 1.0
+    np.subtract(1.0, z, out=w)
+    w *= z
+    np.copyto(w, ew, where=z < -0.25)
     for _ in range(3):
-        ew = np.exp(w)
-        f = w * ew - z
-        w = w - f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+        np.exp(w, out=ew)
+        np.multiply(w, ew, out=f)
+        f -= z
+        np.add(w, 1.0, out=t)
+        t *= ew
+        np.add(w, 2.0, out=g)
+        g *= f
+        np.multiply(w, 2.0, out=ew)
+        ew += 2.0
+        g /= ew
+        t -= g
+        f /= t
+        w -= f
     return w
 
 
-def update_memberships(d: np.ndarray, gamma: np.ndarray, lam: float, p: float) -> np.ndarray:
+def update_memberships(d: np.ndarray, gamma: np.ndarray, lam: float, p: float,
+                       out=None, work=None) -> np.ndarray:
     """Solve every entry of the N x m membership matrix for the squared
     distances d, the m scales gamma, the sparsity weight lam and the norm
-    exponent p."""
+    exponent p.
+
+    The memberships go into out, an N x m float64 array of any layout,
+    which is returned; without out they go into a new array in d's
+    layout. work, from membership_work(N, m), holds the temporaries;
+    without it they are allocated. The solve runs in d's memory order,
+    in out itself when out shares that order and else in work, and leaves
+    d unchanged. Every entry is computed by the same operations whatever
+    the buffers and layouts, so it has the same bits.
+    """
     d = np.asarray(d, dtype=float)
-    # d/gamma past float range is the exact limit of a zero membership
-    with np.errstate(over="ignore"):
-        r = d / gamma[None, :]
-    if lam == 0.0:
-        return np.exp(-r)
+    if out is None:
+        out = np.empty_like(d)
+    if work is None:
+        work = membership_work(*d.shape)
+    order = "F" if np.isfortran(d) else "C"
+    in_place = out.flags.f_contiguous if order == "F" else out.flags.c_contiguous
+    u = out if in_place else work[6, :d.size].reshape(d.shape, order=order)
     q = 1.0 - p
-    # lam*p*q/gamma can underflow to 0 for vanishing lam; ln 0 = -inf is
-    # the correct limit and gives z = -0, W0 = 0, u = exp(-r)
-    with np.errstate(divide="ignore"):
-        log_mz = np.log(lam * p * q / gamma)[None, :] + q * r
-    keep = log_mz < math.log(p) - p
-    u = np.zeros_like(d)
-    w = _lambert_w0(-np.exp(log_mz[keep]))
-    u[keep] = np.exp(w / q - r[keep])
-    return u
+    # u holds r = d/gamma until the kept entries are solved. d/gamma past
+    # float range is the exact limit of a zero membership. lam*p*q/gamma
+    # can underflow to 0 for vanishing lam; ln 0 = -inf is the correct
+    # limit and gives z = -0, W0 = 0, u = exp(-r)
+    with np.errstate(over="ignore", divide="ignore"):
+        r = np.divide(d, gamma[None, :], out=u)
+        log_c = np.log(lam * p * q / gamma)[None, :]
+    if lam == 0.0:
+        np.negative(r, out=r)
+        np.exp(r, out=r)
+    else:
+        log_mz = np.multiply(q, r, out=work[1, :d.size].reshape(d.shape, order=order))
+        log_mz += log_c
+        # from here on log_mz and u are flat views in memory order, so one
+        # flat index addresses both
+        log_mz, flat = work[1, :d.size], u.ravel(order="K")
+        keep = (log_mz < math.log(p) - p).nonzero()[0]
+        # take writes straight into its out only when mode is not "raise"
+        z = log_mz.take(keep, out=work[0, :keep.size], mode="clip")
+        np.exp(z, out=z)
+        np.negative(z, out=z)
+        w = _lambert_w0(z, work[1:6])
+        w /= q
+        w -= flat.take(keep, out=work[2, :keep.size], mode="clip")
+        np.exp(w, out=w)
+        u.fill(0.0)
+        flat[keep] = w
+    if u is not out:
+        out[...] = u
+    return out

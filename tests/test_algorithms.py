@@ -1,11 +1,16 @@
+import importlib.util
+import json
 import re
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sparsepcm import make_fixture
 from sparsepcm.algorithms import (
+    ALGORITHMS,
     AlgoConfig,
     adapt_eta,
     assign_labels,
@@ -26,6 +31,7 @@ from sparsepcm.fcm import gamma_init_pcm, run_fcm
 from sparsepcm.solver import compute_lambda, update_memberships
 
 import bookkeeping_oracle as oracle
+import loop_oracle
 from blob_draws import blob_draw
 import reference_tables as ref
 
@@ -158,10 +164,50 @@ def test_run_raises_when_no_cluster_is_left(algorithm, monkeypatch):
     # memberships that are all zero leave no cluster for any point
     monkeypatch.setattr(
         "sparsepcm.algorithms.update_memberships",
-        lambda d, gamma, lam, p: np.zeros_like(d),
+        lambda d, gamma, lam, p, out=None, work=None: np.zeros_like(d),
     )
     with pytest.raises(DegenerateRunError, match="no point has a compatible cluster"):
         run(_blob(n=40), AlgoConfig(algorithm, 3, alpha=1.0, seed=0))
+
+
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # where dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _oracle_cases():
+    yield pytest.param(make_fixture("example1", seed=0), AlgoConfig("spcm", 5),
+                       id="example1/spcm")
+    yield pytest.param(make_fixture("experiment2", seed=0), AlgoConfig("sapcm", 10, alpha=0.15),
+                       id="experiment2/sapcm")
+    yield pytest.param(make_fixture("iris"), AlgoConfig("spcm", 10), id="iris/spcm")
+    workloads = _perfbench_workloads()
+    for draw in range(3):
+        case = workloads.small_n_case(draw)
+        for algorithm in ALGORITHMS:
+            alpha = case.config.alpha if algorithm in ("sapcm", "apcm") else None
+            config = replace(case.config, algorithm=algorithm, alpha=alpha, K=None)
+            yield pytest.param(case.data, config, id=f"small-n/{draw}/{algorithm}")
+
+
+@pytest.mark.parametrize("data, config", _oracle_cases())
+def test_run_matches_the_fresh_array_loop_oracle(data, config):
+    # the workspace, the column-major distances and the in-place solve
+    # change no bit of the record or of the memberships
+    got, expected = run(data, config), loop_oracle.run(data, config)
+    docs = [{k: v for k, v in r.to_dict().items() if k != "wall_time"} for r in (got, expected)]
+    assert json.dumps(docs[0]) == json.dumps(docs[1])
+    assert got.memberships.flags.c_contiguous
+    assert got.memberships.shape == expected.memberships.shape
+    np.testing.assert_array_equal(got.memberships.view(np.int64),
+                                  expected.memberships.view(np.int64))
+    if config.algorithm in ("sapcm", "apcm"):
+        # clusters are eliminated inside the loop, so the workspace is rebuilt
+        assert len({rec.m for rec in got.history}) > 1
 
 
 def test_update_theta_returns_only_live_rows():

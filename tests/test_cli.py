@@ -249,6 +249,22 @@ def test_config_file_with_flag_overrides(tmp_path):
         assert len(doc["reports"][0]["labels_final"]) == n, flags
 
 
+def test_config_file_with_a_byte_order_mark(tmp_path):
+    # editors on Windows write the mark; the config is read as if it were absent
+    config = {
+        "schema_version": 1,
+        "runs": [{"algorithm": "pcm", "m_ini": 2}],
+        "input": {"fixture": "experiment1"},
+        "output_dir": str(tmp_path / "out"),
+        "emit": ["report"],
+    }
+    cpath = tmp_path / "config.json"
+    cpath.write_bytes(b"\xef\xbb\xbf" + json.dumps(config).encode())
+    assert main(["--config", str(cpath)]) == 0
+    doc = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert doc["reports"][0]["algorithm"] == "pcm"
+
+
 def test_generator_spec_input(tmp_path):
     gen = {
         "components": [

@@ -238,3 +238,10 @@ def test_score_counts_a_center_whose_class_drew_no_points():
     assert scores["sr"] == pytest.approx(100.0)
     assert scores["sr_per_cluster"] == pytest.approx([100.0, 100.0, 0.0])
     assert scores["md"] == 0.0
+
+
+@pytest.mark.parametrize("labels", [[1, 1, 2], [1, 1, 2, 2, 1], [1, 1, 2, 2.5], "1122"])
+def test_score_refuses_labels_that_do_not_fit_the_points(labels):
+    data = DataSet(points=_FOUR_POINTS, truth_labels=[1, 1, 2, 2])
+    with pytest.raises(ConfigurationError, match="labels"):
+        score(data, labels, _FOUR_POINTS[[0, 2]])

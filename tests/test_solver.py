@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import lambertw
 
+import loop_oracle
 import membership_oracle as oracle
 from sparsepcm import solver
 from sparsepcm.core import ConfigurationError, DataSet, squared_distances
-from sparsepcm.solver import compute_lambda, update_memberships
+from sparsepcm.solver import compute_lambda, membership_work, update_memberships
 
 
 def test_lambda_zero_gives_exponential():
@@ -147,3 +148,32 @@ def test_lambert_w0_matches_scipy(p):
     w = solver._lambert_w0(z)
     np.testing.assert_allclose(w, lambertw(z).real, rtol=1e-14, atol=0.0)
     assert w[-1] == 0.0
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("d_order", ["C", "F"])
+@pytest.mark.parametrize("out_order", ["C", "F"])
+@pytest.mark.parametrize("K", [0.0, 0.9])
+def test_update_memberships_into_out_has_the_bits_of_the_fresh_solve(d_order, out_order, K):
+    rng = np.random.default_rng(5)
+    gamma = np.array([1e-10, 0.5, 2.0])
+    d = rng.uniform(0.0, 8.0, size=(60, 3))
+    d[0] = 0.0
+    d[1] = 100.0         # far from every cluster: an all-zero row when lam > 0
+    d[2] = 1e300         # d/gamma past float range in the first column
+    d = np.array(d, order=d_order)
+    before = d.copy(order="K")
+    lam = compute_lambda(0.5, 0.5, K)
+    fresh = update_memberships(d, gamma, lam, 0.5)
+    out, work = np.empty(d.shape, order=out_order), membership_work(*d.shape)
+    for _ in range(2):  # a second call reuses what the first left in out and work
+        assert update_memberships(d, gamma, lam, 0.5, out=out, work=work) is out
+        np.testing.assert_array_equal(_bits(out), _bits(fresh))
+    # the plain whole-array expressions of the solve, bit for bit
+    np.testing.assert_array_equal(_bits(fresh), _bits(loop_oracle.memberships(d, gamma, lam, 0.5)))
+    np.testing.assert_array_equal(_bits(d), _bits(before))
+    assert (out[2] == 0.0).all() and (out[1] == 0.0).all() == (K > 0.0)
+    assert 0.0 < out[3:].max() <= 1.0
