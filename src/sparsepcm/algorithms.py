@@ -187,21 +187,20 @@ def run(data: DataSet, config: AlgoConfig) -> RunReport:
     theta = fcm.theta
     lam = compute_lambda(float(gamma.min()), config.p, config.K)
     history = []
-    u = None
+    # one workspace for the run. Clusters are only ever dropped, so the
+    # leading m columns of d and N*m entries of u_buf, both contiguous,
+    # serve every later m. d is column-major, so the per-feature differences
+    # run along the N points; u is row-major for update_theta, whose sums
+    # get their last bits from the layout
+    n, m = data.n_points, config.m_ini
+    d, u_buf, work = np.empty((n, m), order="F"), np.empty(n * m), membership_work(n, m)
     for t in range(config.max_iter):
-        if u is None or u.shape[1] != len(gamma):
-            # one workspace for each cluster count. d is column-major, so
-            # the per-feature differences run along the N points; u is
-            # row-major for update_theta, whose sums get their last bits
-            # from the layout
-            shape = (data.n_points, len(gamma))
-            d = u = work = None  # drop the old workspace first, or both would be live
-            d, u, work = np.empty(shape, order="F"), np.empty(shape), membership_work(*shape)
-        u = update_memberships(squared_distances(data, theta, out=d), gamma, lam, config.p,
-                               out=u, work=work)
+        m = len(gamma)
+        u = update_memberships(squared_distances(data, theta, out=d[:, :m]), gamma, lam,
+                               config.p, out=u_buf[:n * m].reshape(n, m), work=work)
         if adaptive:
             labels = assign_labels(u)
-            live = np.bincount(labels, minlength=len(gamma) + 1)[1:] > 0
+            live = np.bincount(labels, minlength=m + 1)[1:] > 0
         else:
             live = u.sum(axis=0) > 0.0
         if not live.any():
@@ -212,7 +211,7 @@ def run(data: DataSet, config: AlgoConfig) -> RunReport:
         # movement over the live clusters only, matched by identity
         move = float(np.sqrt(np.square(new_theta - theta[live]).sum(axis=1)).max())
         history.append(IterationRecord(iteration=t, theta=theta, gamma=gamma, lam=lam,
-                                       m=len(gamma), max_move=move))
+                                       m=m, max_move=move))
         theta, gamma = new_theta, gamma[live]
         if adaptive:
             labels = eliminate_clusters(labels, live)
@@ -225,7 +224,9 @@ def run(data: DataSet, config: AlgoConfig) -> RunReport:
     if not adaptive:
         keep = remove_duplicates(theta, gamma)
         theta, gamma = theta[keep], gamma[keep]
-    u = update_memberships(squared_distances(data, theta), gamma, lam, config.p)
+    m = len(gamma)
+    u = update_memberships(squared_distances(data, theta, out=d[:, :m]), gamma, lam,
+                           config.p, out=np.empty((n, m)), work=work)
     labels = assign_labels(u)
     return RunReport(
         algorithm=config.algorithm,

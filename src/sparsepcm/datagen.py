@@ -12,6 +12,7 @@ background noise, a tiny hand-written 17-point set, and the iris table.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -144,7 +145,7 @@ _TINY_C2 = [
 ]
 
 
-def experiment1_fixture() -> DataSet:
+def _experiment1() -> DataSet:
     """The hard-coded 17-point two-cluster set."""
     pts = np.array(_TINY_C1 + _TINY_C2, dtype=float)
     labels = np.array([1] * len(_TINY_C1) + [2] * len(_TINY_C2))
@@ -198,7 +199,7 @@ def load_csv(path, label_column=None) -> DataSet:
     if not rows:
         raise CsvFormatError(f"{path}: empty file")
 
-    by_name = isinstance(label_column, str) and not label_column.lstrip("-").isdigit()
+    by_name = isinstance(label_column, str) and not re.fullmatch(r"-?[0-9]+", label_column)
     label_idx = None if label_column is None or by_name else int(label_column)
     header = None
     try:
@@ -260,7 +261,7 @@ _FIXTURE_BUILDERS = {
     "example4": lambda seed: generate(_two_blob_spec((2.0, 2.0), 2000, 500, seed)),
     "experiment2": lambda seed: generate(_three_cluster_spec(seed)),
     "experiment3": lambda seed: generate(_three_cluster_spec(seed, noise_count=50)),
-    "experiment1": lambda seed: experiment1_fixture(),
+    "experiment1": lambda seed: _experiment1(),
     "iris": lambda seed: load_csv(iris_path(), label_column="species"),
 }
 

@@ -144,8 +144,8 @@ def run_fcm(data: DataSet, m: int, tol: float, seed: int = 0, max_iter: int = 30
             step_max = step_max * _STEP_GROWTH if kept else max(1.0, step_max / _STEP_GROWTH)
         theta, converged = (theta3, converged) if kept else (theta, False)
     # memberships consistent with the final representatives
-    d = squared_distances(data, theta)
-    return FcmResult(theta=theta, u_fcm=_fcm_memberships(d), d=d,
+    squared_distances(data, theta, out=d)
+    return FcmResult(theta=theta, u_fcm=_fcm_memberships(d, out=w), d=d,
                      iterations=it, converged=converged)
 
 

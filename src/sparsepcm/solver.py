@@ -62,13 +62,13 @@ def membership_work(n: int, m: int) -> np.ndarray:
     """Scratch for update_memberships on N x m matrices, to reuse across calls.
 
     Row 0 holds the kept entries' z, rows 1-5 _lambert_w0's work (row 1
-    holds ln(-z) of every entry before) and row 6 the memberships when
-    out does not share d's memory order.
+    holds ln(-z) of every entry before) and row 6 the memberships, in
+    d's memory order, until they are copied into out.
     """
     return np.empty((7, n * m))
 
 
-def _lambert_w0(z, work=None):
+def _lambert_w0(z, work):
     """Principal branch W0 of w*e**w = z for an array z in (-1/e, 0].
 
     Starts from the branch-point series for z < -0.25 and from z*(1 - z)
@@ -77,13 +77,11 @@ def _lambert_w0(z, work=None):
     branch point at z = -1/e, w = -1.
 
     work, 5 rows of at least z.size floats, holds the result (its first
-    row) and the temporaries; without it they are allocated. Each step
-    is w - f / (ew*(w+1) - (w+2)*f/(2*w+2)) with f = w*ew - z, evaluated
+    row) and the temporaries. Each step is
+    w - f / (ew*(w+1) - (w+2)*f/(2*w+2)) with f = w*ew - z, evaluated
     in place one operation at a time, operands swapped only where the
     operation commutes, so the result has the expression's bits.
     """
-    if work is None:
-        work = np.empty((5, z.size))
     w, ew, f, t, g = work[:, :z.size]
     # s = sqrt(2*(e*z + 1)) in t, the series s*(1 - s/3) - 1 in ew
     np.multiply(z, math.e, out=t)
@@ -123,10 +121,10 @@ def update_memberships(d: np.ndarray, gamma: np.ndarray, lam: float, p: float,
     The memberships go into out, an N x m float64 array of any layout,
     which is returned; without out they go into a new array in d's
     layout. work, from membership_work(N, m), holds the temporaries;
-    without it they are allocated. The solve runs in d's memory order,
-    in out itself when out shares that order and else in work, and leaves
-    d unchanged. Every entry is computed by the same operations whatever
-    the buffers and layouts, so it has the same bits.
+    without it they are allocated. The solve runs in work, in d's memory
+    order, and is then copied into out; d is left unchanged. Every entry
+    is computed by the same operations whatever the buffers and layouts,
+    so it has the same bits.
     """
     d = np.asarray(d, dtype=float)
     if out is None:
@@ -134,8 +132,7 @@ def update_memberships(d: np.ndarray, gamma: np.ndarray, lam: float, p: float,
     if work is None:
         work = membership_work(*d.shape)
     order = "F" if np.isfortran(d) else "C"
-    in_place = out.flags.f_contiguous if order == "F" else out.flags.c_contiguous
-    u = out if in_place else work[6, :d.size].reshape(d.shape, order=order)
+    u = work[6, :d.size].reshape(d.shape, order=order)
     q = 1.0 - p
     # u holds r = d/gamma until the kept entries are solved. d/gamma past
     # float range is the exact limit of a zero membership. lam*p*q/gamma
@@ -164,6 +161,5 @@ def update_memberships(d: np.ndarray, gamma: np.ndarray, lam: float, p: float,
         np.exp(w, out=w)
         u.fill(0.0)
         flat[keep] = w
-    if u is not out:
-        out[...] = u
+    out[...] = u
     return out

@@ -3,9 +3,9 @@
 This is the plain form of sparsepcm.algorithms.run: each iteration builds
 its distance matrix, its memberships and every temporary of the
 membership solve anew, and the solve is written as whole-array
-expressions. The production loop reuses one workspace per cluster count
-and solves in place instead, with the same arithmetic on every entry,
-so the two must agree bit for bit. The loop is built from the package's
+expressions. The production loop reuses one workspace per run and
+solves in reused scratch instead, with the same arithmetic on every
+entry, so the two must agree bit for bit. The loop is built from the package's
 public functions; only the steps that read the workspace, the membership
 solve and the theta update, are spelled out here.
 """

@@ -196,18 +196,25 @@ def _oracle_cases():
 
 @pytest.mark.parametrize("data, config", _oracle_cases())
 def test_run_matches_the_fresh_array_loop_oracle(data, config):
-    # the workspace, the column-major distances and the in-place solve
+    # the workspace, the column-major distances and the solve in scratch
     # change no bit of the record or of the memberships
+    got = _assert_matches_loop_oracle(data, config)
+    if config.algorithm in ("sapcm", "apcm"):
+        # clusters are eliminated inside the loop, so later iterations
+        # solve in the leading columns of the workspace
+        assert len({rec.m for rec in got.history}) > 1
+
+
+def _assert_matches_loop_oracle(data, config):
+    """run(data, config), checked against loop_oracle.run bit for bit."""
     got, expected = run(data, config), loop_oracle.run(data, config)
     docs = [{k: v for k, v in r.to_dict().items() if k != "wall_time"} for r in (got, expected)]
     assert json.dumps(docs[0]) == json.dumps(docs[1])
-    assert got.memberships.flags.c_contiguous
+    assert got.memberships.flags.c_contiguous and got.memberships.flags.owndata
     assert got.memberships.shape == expected.memberships.shape
     np.testing.assert_array_equal(got.memberships.view(np.int64),
                                   expected.memberships.view(np.int64))
-    if config.algorithm in ("sapcm", "apcm"):
-        # clusters are eliminated inside the loop, so the workspace is rebuilt
-        assert len({rec.m for rec in got.history}) > 1
+    return got
 
 
 def test_update_theta_returns_only_live_rows():
@@ -232,7 +239,9 @@ def test_emptied_column_is_dropped_on_the_spot(algorithm, monkeypatch):
         return replace(res, theta=np.vstack([res.theta[:-1], far]))
 
     monkeypatch.setattr("sparsepcm.algorithms.run_fcm", start_with_a_far_representative)
-    report = run(_blob(n=60), AlgoConfig(algorithm, 3))
+    monkeypatch.setattr(loop_oracle, "run_fcm", start_with_a_far_representative)
+    # the drop shrinks the fixed-scale loop's workspace to its leading columns
+    report = _assert_matches_loop_oracle(_blob(n=60), AlgoConfig(algorithm, 3))
     counts = [rec.m for rec in report.history]
     assert counts[0] == 3
     assert len(counts) > 1 and all(m == 2 for m in counts[1:])

@@ -82,6 +82,10 @@ _LETTERS = "1,2,a\n3,4,b\n5,6,a\n"
     ("x,y\n1,2\n", "cls", "unknown label column 'cls'"),
     ("1,2\n3,4\n", "2", "label column index 2 out of range"),
     ("1,2\n3,4\n", "-1", "label column index -1 out of range"),
+    # text that int() refuses is a column name, not an index
+    ("x,y\n1,2\n", "--1", "unknown label column '--1'"),
+    ("x,y\n1,2\n", "\u00b2", "unknown label column '\u00b2'"),
+    ("x,y\n1,2\n", "-\u00b2", "unknown label column '-\u00b2'"),
     ("1,2\n3,four\n", None, "non-numeric cell at row 2, column 1: 'four'"),
     # a column index is a nonnegative int, never a float or a bool
     (_LETTERS, 1.5, r"label_column must be a nonnegative integer, got 1\.5"),
@@ -357,6 +361,14 @@ def test_failed_run_does_not_shift_later_artifacts(tmp_path, capsys):
         u = np.array(list(csv.reader(fh))[1:], dtype=float)
     expect = np.where(u.max(axis=1) > 0.0, u.argmax(axis=1) + 1, 0)
     np.testing.assert_array_equal(expect, doc["reports"][0]["labels_final"])
+
+
+@pytest.mark.parametrize("column", ["--1", "\u00b2", "-\u00b2"])
+def test_label_column_that_is_no_index_exits_2(tmp_path, capsys, column):
+    data_csv = _write_blob_csv(tmp_path / "b.csv", labeled=True)
+    assert main(["--algo", "pcm", "--m-ini", "2", "--input", str(data_csv),
+                 f"--label-column={column}", "--out", str(tmp_path / "o")]) == 2
+    assert f"unknown label column {column!r}" in capsys.readouterr().err
 
 
 def test_exit_code_2_on_bad_configuration(tmp_path, capsys):

@@ -8,7 +8,6 @@ from sparsepcm.datagen import (
     FIXTURE_NAMES,
     Component,
     MixtureSpec,
-    experiment1_fixture,
     generate,
     iris_path,
     load_csv,
@@ -224,7 +223,7 @@ def test_experiment3_adds_noise():
 
 
 def test_seventeen_point_set_is_fixed():
-    data = experiment1_fixture()
+    data = make_fixture("experiment1", seed=0)
     assert data.n_points == 17
     assert data.n_features == 2
     again = make_fixture("experiment1", seed=123)  # seed has no effect here

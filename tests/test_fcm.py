@@ -136,6 +136,12 @@ def test_run_fcm_plain_steps_match_allocating_oracle(
     np.testing.assert_array_equal(res.u_fcm, u_fcm)
     np.testing.assert_array_equal(res.d, d)
     assert res.iterations == iterations == max_iter
+    # the scales read the column-major d with the bits of the oracle's
+    # fresh row-major arrays
+    mass = u_fcm.sum(axis=0)
+    for got, values in [(gamma_init_pcm(res), d), (eta_init_sapcm(res), np.sqrt(d))]:
+        np.testing.assert_array_equal(got.view(np.int64),
+                                      ((u_fcm * values).sum(axis=0) / mass).view(np.int64))
 
 
 @pytest.mark.parametrize("case, m, seed", _ORACLE_CASES)

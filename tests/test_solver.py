@@ -145,7 +145,7 @@ def test_memberships_do_not_depend_on_the_units(s):
 def test_lambert_w0_matches_scipy(p):
     # the solver evaluates W0 on (-p*e**(-p), 0], the range of kept entries
     z = np.concatenate([np.linspace(-p * math.exp(-p), 0.0, 2001), [-1e-300, -0.0]])
-    w = solver._lambert_w0(z)
+    w = solver._lambert_w0(z, np.empty((5, z.size)))
     np.testing.assert_allclose(w, lambertw(z).real, rtol=1e-14, atol=0.0)
     assert w[-1] == 0.0
 
