@@ -31,6 +31,7 @@ from .core import (
     IterationRecord,
     NumericalError,
     RunReport,
+    column_sums,
     float_array,
     natural,
     squared_distances,
@@ -83,13 +84,15 @@ class AlgoConfig:
             raise ConfigurationError("theta_tol must be positive")
 
 
-def update_theta(u: np.ndarray, data: DataSet, live: np.ndarray) -> np.ndarray:
-    """Membership-weighted means of the columns flagged in live."""
-    # the column sums of the full u: numpy sums the column-major u[:, live]
+def update_theta(u: np.ndarray, data: DataSet, live: np.ndarray,
+                 mass: np.ndarray) -> np.ndarray:
+    """Membership-weighted means of the columns flagged in live; mass is
+    column_sums(u)."""
+    # mass sums the full row-major u: numpy sums the column-major u[:, live]
     # in another order, and so to other last bits. The product must read
     # that copy, even when every column is live: the matrix product of
     # the row-major u itself adds in another order too
-    return (u[:, live].T @ data.points) / u.sum(axis=0)[live, None]
+    return (u[:, live].T @ data.points) / mass[live, None]
 
 
 def assign_labels(u: np.ndarray) -> np.ndarray:
@@ -118,13 +121,23 @@ def adapt_eta(data: DataSet, labels: np.ndarray, m: int, floor: float) -> np.nda
     measured from the label-group mean, not from the representative.
     Values below floor, a positive distance, are clamped so the
     downstream scale parameters stay positive.
+
+    The squared deviations are taken one feature at a time and added
+    left to right, as squared_distances adds them. For fewer than 8
+    features that is numpy's row-sum order; from 8 on, numpy's row sum
+    is pairwise and the last bits may differ from it.
     """
-    own = labels > 0
-    lab, pts = labels[own] - 1, data.points[own]
-    count = np.bincount(lab, minlength=m)
-    means = np.stack([np.bincount(lab, col, m) for col in pts.T], axis=1) / count[:, None]
-    dist = np.sqrt(np.square(pts - means[lab]).sum(axis=1))
-    return np.maximum(np.bincount(lab, dist, m) / count, floor)
+    count = np.bincount(labels, minlength=m + 1)[1:]
+    # slot 0 of the means, the label-0 points' mean, stays NaN: their
+    # deviations are NaN, raise no overflow and land in no cluster's bin
+    mean = np.full(m + 1, np.nan)
+    dist, dev = np.zeros(len(labels)), np.empty(len(labels))
+    for col in data.points.T:
+        np.divide(np.bincount(labels, col, m + 1)[1:], count, out=mean[1:])
+        np.subtract(col, mean.take(labels, out=dev), out=dev)
+        dist += np.multiply(dev, dev, out=dev)
+    np.sqrt(dist, out=dist)
+    return np.maximum(np.bincount(labels, dist, m + 1)[1:] / count, floor)
 
 
 def _adaptive_gamma(eta_hat: float, eta: np.ndarray, alpha: float) -> np.ndarray:
@@ -198,16 +211,17 @@ def run(data: DataSet, config: AlgoConfig) -> RunReport:
         m = len(gamma)
         u = update_memberships(squared_distances(data, theta, out=d[:, :m]), gamma, lam,
                                config.p, out=u_buf[:n * m].reshape(n, m), work=work)
+        mass = column_sums(u)
         if adaptive:
             labels = assign_labels(u)
             live = np.bincount(labels, minlength=m + 1)[1:] > 0
         else:
-            live = u.sum(axis=0) > 0.0
+            live = mass > 0.0
         if not live.any():
             raise DegenerateRunError(
                 "no point has a compatible cluster: every membership is zero"
             )
-        new_theta = update_theta(u, data, live)
+        new_theta = update_theta(u, data, live, mass)
         # movement over the live clusters only, matched by identity
         move = float(np.sqrt(np.square(new_theta - theta[live]).sum(axis=1)).max())
         history.append(IterationRecord(iteration=t, theta=theta, gamma=gamma, lam=lam,

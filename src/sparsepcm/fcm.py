@@ -15,6 +15,7 @@ from .core import (
     DataSet,
     DegenerateClusterError,
     NumericalError,
+    column_sums,
     squared_distances,
 )
 
@@ -74,7 +75,7 @@ def _fcm_step(data: DataSet, theta: np.ndarray, d: np.ndarray, w: np.ndarray):
     # u_i1 d_i1 = 1 / sum_j 1/d_ij is row i's term of J2, 0 in a zero-distance row
     cost = w[:, 0] @ d[:, 0]
     np.multiply(w, w, out=w)
-    denom = w.sum(axis=0)
+    denom = column_sums(w)
     if np.any(denom < _DENOM_FLOOR):
         raise DegenerateClusterError("FCM cluster lost all membership mass")
     return (w.T @ data.points) / denom[:, None], cost
@@ -152,10 +153,10 @@ def run_fcm(data: DataSet, m: int, tol: float, seed: int = 0, max_iter: int = 30
 def _fcm_weighted_mean(fcm: FcmResult, values: np.ndarray) -> np.ndarray:
     """Per-cluster mean of an N x m matrix of distances, weighted by the
     FCM memberships; every cluster must carry membership mass and spread."""
-    denom = fcm.u_fcm.sum(axis=0)
+    denom = column_sums(fcm.u_fcm)
     if np.any(denom < _DENOM_FLOOR):
         raise DegenerateClusterError("zero membership column in FCM result")
-    mean = (fcm.u_fcm * values).sum(axis=0) / denom
+    mean = column_sums(fcm.u_fcm * values) / denom
     if np.any(mean <= 0):
         raise DegenerateClusterError("zero mean distance; cluster has no spread")
     return mean

@@ -7,7 +7,8 @@ expressions. The production loop reuses one workspace per run and
 solves in reused scratch instead, with the same arithmetic on every
 entry, so the two must agree bit for bit. The loop is built from the package's
 public functions; only the steps that read the workspace, the membership
-solve and the theta update, are spelled out here.
+solve and the theta update, are spelled out here, and the scales come
+from bookkeeping_oracle's grouped form, one N x l pass.
 """
 
 import math
@@ -16,7 +17,6 @@ import time
 import numpy as np
 
 from sparsepcm.algorithms import (
-    adapt_eta,
     assign_labels,
     eliminate_clusters,
     remove_duplicates,
@@ -25,6 +25,8 @@ from sparsepcm.core import DegenerateRunError, IterationRecord, RunReport, squar
 from sparsepcm.fcm import eta_init_sapcm, gamma_init_pcm, run_fcm
 from sparsepcm.metrics import score
 from sparsepcm.solver import compute_lambda
+
+from bookkeeping_oracle import adapt_eta_grouped
 
 
 def lambert_w0(z):
@@ -92,7 +94,7 @@ def run(data, config):
         theta, gamma = new_theta, gamma[live]
         if adaptive:
             labels = eliminate_clusters(labels, live)
-            eta = adapt_eta(data, labels, len(theta), 1e-3 * config.theta_tol)
+            eta = adapt_eta_grouped(data, labels, len(theta), 1e-3 * config.theta_tol)
             gamma = eta_hat * eta / config.alpha
             lam = compute_lambda(float(gamma.min()), config.p, config.K)
         if move < config.theta_tol:

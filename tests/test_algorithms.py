@@ -159,6 +159,38 @@ def test_adapt_eta_matches_loop_oracle():
         assert (eta[sizes == 1] == 1e-9).all()
 
 
+def _assert_eta_bits(data, labels, m):
+    eta = adapt_eta(data, labels, m, 1e-9)
+    expected = oracle.adapt_eta_grouped(data, labels, m, 1e-9)
+    np.testing.assert_array_equal(eta.view(np.int64), expected.view(np.int64))
+
+
+def test_adapt_eta_matches_the_grouped_oracle_bit_for_bit():
+    # one feature at a time adds the squares in the grouped row sum's
+    # order for l < 8, and the draws have l from 1 to 5
+    for seed in range(1000):
+        data, labels, m, _ = _eta_draw(seed)
+        _assert_eta_bits(data, labels, m)
+
+
+def test_adapt_eta_ignores_label_zero_points():
+    # label-0 points far out change no scale and raise no floating-point
+    # warning, and a draw without any label-0 point works as well
+    without = 0
+    for seed in range(100):
+        data, labels, m, _ = _eta_draw(seed)
+        eta = adapt_eta(data, labels, m, 1e-9)
+        far = np.array([[1e200], [-1e200]]) * (-1.0) ** np.arange(data.n_features)
+        own = labels > 0
+        without += own.all()
+        with np.errstate(all="raise"):
+            wide = adapt_eta(DataSet(points=np.vstack([data.points, far])),
+                             np.concatenate([labels, [0, 0]]), m, 1e-9)
+            _assert_eta_bits(DataSet(points=data.points[own]), labels[own], m)
+        np.testing.assert_array_equal(wide.view(np.int64), eta.view(np.int64))
+    assert 0 < without < 100
+
+
 @pytest.mark.parametrize("algorithm", ["pcm", "spcm", "sapcm", "apcm"])
 def test_run_raises_when_no_cluster_is_left(algorithm, monkeypatch):
     # memberships that are all zero leave no cluster for any point
@@ -192,6 +224,15 @@ def _oracle_cases():
             alpha = case.config.alpha if algorithm in ("sapcm", "apcm") else None
             config = replace(case.config, algorithm=algorithm, alpha=alpha, K=None)
             yield pytest.param(case.data, config, id=f"small-n/{draw}/{algorithm}")
+    # coordinates near 1e150 end the adaptive runs at one cluster inside
+    # the loop, and m_ini = 1 starts every run there: column sums of a
+    # single column take numpy's own pairwise sum
+    huge = DataSet(points=np.random.default_rng(0).normal(size=(40, 2)) * 1e150)
+    for algorithm in ALGORITHMS:
+        alpha = 1.0 if algorithm in ("sapcm", "apcm") else None
+        yield pytest.param(huge, AlgoConfig(algorithm, 3, alpha=alpha), id=f"1e150/{algorithm}")
+        yield pytest.param(_blob(n=40), AlgoConfig(algorithm, 1, alpha=alpha),
+                           id=f"m_ini-1/{algorithm}")
 
 
 @pytest.mark.parametrize("data, config", _oracle_cases())
@@ -199,10 +240,15 @@ def test_run_matches_the_fresh_array_loop_oracle(data, config):
     # the workspace, the column-major distances and the solve in scratch
     # change no bit of the record or of the memberships
     got = _assert_matches_loop_oracle(data, config)
-    if config.algorithm in ("sapcm", "apcm"):
+    counts = {rec.m for rec in got.history}
+    if config.m_ini == 1:
+        assert counts == {1}
+    elif config.algorithm in ("sapcm", "apcm"):
         # clusters are eliminated inside the loop, so later iterations
         # solve in the leading columns of the workspace
-        assert len({rec.m for rec in got.history}) > 1
+        assert len(counts) > 1
+        if data.points.max() > 1e100:
+            assert 1 in counts
 
 
 def _assert_matches_loop_oracle(data, config):
@@ -220,10 +266,10 @@ def _assert_matches_loop_oracle(data, config):
 def test_update_theta_returns_only_live_rows():
     data = DataSet(points=np.array([[0.0, 0.0], [4.0, 0.0]]))
     u = np.array([[0.5, 0.0, 0.25], [0.5, 0.0, 0.75]])
-    theta = update_theta(u, data, np.array([True, False, True]))
+    theta = update_theta(u, data, np.array([True, False, True]), u.sum(axis=0))
     np.testing.assert_allclose(theta, [[2.0, 0.0], [3.0, 0.0]])
     # a column with mass that is not live is left out as well
-    theta = update_theta(u, data, np.array([False, False, True]))
+    theta = update_theta(u, data, np.array([False, False, True]), u.sum(axis=0))
     np.testing.assert_allclose(theta, [[3.0, 0.0]])
 
 

@@ -157,7 +157,7 @@ def test_theta_update_stays_inside_data_box(seed, n, dim, m, dead):
     u = rng.uniform(0.1, 1.0, size=(n, m))
     live = np.array([not dead[j % len(dead)] for j in range(m)])
     u[:, ~live] = 0.0
-    theta = update_theta(u, data, live)
+    theta = update_theta(u, data, live, u.sum(axis=0))
     assert theta.shape == (live.sum(), dim)
     lo, hi = data.points.min(axis=0), data.points.max(axis=0)
     assert np.all(theta >= lo - 1e-9)
