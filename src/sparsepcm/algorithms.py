@@ -31,7 +31,6 @@ from .core import (
     IterationRecord,
     NumericalError,
     RunReport,
-    column_sums,
     float_array,
     natural,
     squared_distances,
@@ -87,12 +86,8 @@ class AlgoConfig:
 def update_theta(u: np.ndarray, data: DataSet, live: np.ndarray,
                  mass: np.ndarray) -> np.ndarray:
     """Membership-weighted means of the columns flagged in live; mass is
-    column_sums(u)."""
-    # mass sums the full row-major u: numpy sums the column-major u[:, live]
-    # in another order, and so to other last bits. The product must read
-    # that copy, even when every column is live: the matrix product of
-    # the row-major u itself adds in another order too
-    return (u[:, live].T @ data.points) / mass[live, None]
+    u.sum(axis=0)."""
+    return (u.T @ data.points)[live] / mass[live, None]
 
 
 def assign_labels(u: np.ndarray) -> np.ndarray:
@@ -201,17 +196,15 @@ def run(data: DataSet, config: AlgoConfig) -> RunReport:
     lam = compute_lambda(float(gamma.min()), config.p, config.K)
     history = []
     # one workspace for the run. Clusters are only ever dropped, so the
-    # leading m columns of d and N*m entries of u_buf, both contiguous,
-    # serve every later m. d is column-major, so the per-feature differences
-    # run along the N points; u is row-major for update_theta, whose sums
-    # get their last bits from the layout
+    # leading m columns of d and u_buf, both contiguous, serve every later m
     n, m = data.n_points, config.m_ini
-    d, u_buf, work = np.empty((n, m), order="F"), np.empty(n * m), membership_work(n, m)
+    d, u_buf = np.empty((n, m), order="F"), np.empty((n, m), order="F")
+    work = membership_work(n, m)
     for t in range(config.max_iter):
         m = len(gamma)
         u = update_memberships(squared_distances(data, theta, out=d[:, :m]), gamma, lam,
-                               config.p, out=u_buf[:n * m].reshape(n, m), work=work)
-        mass = column_sums(u)
+                               config.p, out=u_buf[:, :m], work=work)
+        mass = u.sum(axis=0)
         if adaptive:
             labels = assign_labels(u)
             live = np.bincount(labels, minlength=m + 1)[1:] > 0
@@ -240,7 +233,7 @@ def run(data: DataSet, config: AlgoConfig) -> RunReport:
         theta, gamma = theta[keep], gamma[keep]
     m = len(gamma)
     u = update_memberships(squared_distances(data, theta, out=d[:, :m]), gamma, lam,
-                           config.p, out=np.empty((n, m)), work=work)
+                           config.p, work=work)
     labels = assign_labels(u)
     return RunReport(
         algorithm=config.algorithm,

@@ -191,26 +191,13 @@ def _json_dict(record):
     return doc
 
 
-def column_sums(u: np.ndarray) -> np.ndarray:
-    """u.sum(axis=0), bit for bit, in a cheaper pass.
-
-    On a row-major u of two or more columns, numpy adds each column top
-    to bottom, and so does einsum, without numpy's reduction overhead. A
-    single column is contiguous and numpy adds it pairwise, and einsum
-    follows other orders on other layouts, so those keep numpy's sum.
-    """
-    if u.flags.c_contiguous and not u.flags.f_contiguous:
-        return np.einsum("ij->j", u)
-    return u.sum(axis=0)
-
-
 def squared_distances(data: DataSet, theta: np.ndarray, out=None) -> np.ndarray:
     """Squared Euclidean distances between every point and every representative.
 
-    Returns an N x m matrix, written into out when it is given, accumulated
-    one feature at a time from explicit coordinate differences, so no
-    N x m x l temporary is built and identical coordinates give an exact
-    zero.
+    Returns an N x m matrix, written into out when it is given and else
+    into a new column-major one, accumulated one feature at a time from
+    explicit coordinate differences, so no N x m x l temporary is built and
+    identical coordinates give an exact zero.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 2 or theta.shape[1] != data.n_features:
@@ -218,6 +205,8 @@ def squared_distances(data: DataSet, theta: np.ndarray, out=None) -> np.ndarray:
             f"theta shape {theta.shape} does not match data dimension {data.n_features}"
         )
     x = data.points
+    if out is None:
+        out = np.empty((x.shape[0], theta.shape[0]), order="F")
     # the first feature's square goes straight into d: 0 + a == a exactly
     d = np.subtract(x[:, 0, None], theta[None, :, 0], out=out)
     np.multiply(d, d, out=d)

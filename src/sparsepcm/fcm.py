@@ -15,7 +15,6 @@ from .core import (
     DataSet,
     DegenerateClusterError,
     NumericalError,
-    column_sums,
     squared_distances,
 )
 
@@ -75,7 +74,7 @@ def _fcm_step(data: DataSet, theta: np.ndarray, d: np.ndarray, w: np.ndarray):
     # u_i1 d_i1 = 1 / sum_j 1/d_ij is row i's term of J2, 0 in a zero-distance row
     cost = w[:, 0] @ d[:, 0]
     np.multiply(w, w, out=w)
-    denom = column_sums(w)
+    denom = w.sum(axis=0)
     if np.any(denom < _DENOM_FLOOR):
         raise DegenerateClusterError("FCM cluster lost all membership mass")
     return (w.T @ data.points) / denom[:, None], cost
@@ -107,12 +106,9 @@ def run_fcm(data: DataSet, m: int, tol: float, seed: int = 0, max_iter: int = 30
             raise NumericalError(f"point span {span.max():.3g} plus the rounding slack of "
                                  f"coordinates up to {size.max():.3g} overflows float64 "
                                  f"when squared and summed over {data.n_points} points")
-    # every step reuses these two N x m buffers. d is column-major, so the
-    # per-feature differences run along the N points in long inner loops.
-    # w is row-major: the order in which numpy adds its row and column sums,
-    # and so their last bits, depends on the layout
+    # every step reuses these two N x m buffers
     d = np.empty((data.n_points, m), order="F")
-    w = np.empty((data.n_points, m))
+    w = np.empty((data.n_points, m), order="F")
     it, converged, step_max = 0, False, 1.0
 
     def step(theta):
@@ -153,10 +149,10 @@ def run_fcm(data: DataSet, m: int, tol: float, seed: int = 0, max_iter: int = 30
 def _fcm_weighted_mean(fcm: FcmResult, values: np.ndarray) -> np.ndarray:
     """Per-cluster mean of an N x m matrix of distances, weighted by the
     FCM memberships; every cluster must carry membership mass and spread."""
-    denom = column_sums(fcm.u_fcm)
+    denom = fcm.u_fcm.sum(axis=0)
     if np.any(denom < _DENOM_FLOOR):
         raise DegenerateClusterError("zero membership column in FCM result")
-    mean = column_sums(fcm.u_fcm * values) / denom
+    mean = (fcm.u_fcm * values).sum(axis=0) / denom
     if np.any(mean <= 0):
         raise DegenerateClusterError("zero mean distance; cluster has no spread")
     return mean

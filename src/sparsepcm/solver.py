@@ -30,7 +30,7 @@ representatives. With lam = 0 everything collapses to the classical
 exponential membership exp(-d/gamma). A caller that solves again and
 again, as the main loop does, hands it the result array and a scratch
 from membership_work(N, m), so that no call allocates an N x m float
-array.
+array. The solve runs in the result array itself.
 """
 
 from __future__ import annotations
@@ -61,11 +61,10 @@ def compute_lambda(gamma_min, p, K):
 def membership_work(n: int, m: int) -> np.ndarray:
     """Scratch for update_memberships on N x m matrices, to reuse across calls.
 
-    Row 0 holds the kept entries' z, rows 1-5 _lambert_w0's work (row 1
-    holds ln(-z) of every entry before) and row 6 the memberships, in
-    d's memory order, until they are copied into out.
+    Row 0 holds the kept entries' z and rows 1-5 _lambert_w0's work; row 1
+    holds ln(-z) of every entry before, in out's memory order.
     """
-    return np.empty((7, n * m))
+    return np.empty((6, n * m))
 
 
 def _lambert_w0(z, work):
@@ -118,28 +117,32 @@ def update_memberships(d: np.ndarray, gamma: np.ndarray, lam: float, p: float,
     distances d, the m scales gamma, the sparsity weight lam and the norm
     exponent p.
 
-    The memberships go into out, an N x m float64 array of any layout,
-    which is returned; without out they go into a new array in d's
-    layout. work, from membership_work(N, m), holds the temporaries;
-    without it they are allocated. The solve runs in work, in d's memory
-    order, and is then copied into out; d is left unchanged. Every entry
-    is computed by the same operations whatever the buffers and layouts,
-    so it has the same bits.
+    The memberships go into out, a C- or F-contiguous N x m float64
+    array, which is returned; without out they go into a new array in
+    d's layout. work, from membership_work(N, m), holds the temporaries;
+    without it they are allocated. The solve runs in out, in its memory
+    order; d is left unchanged. Every entry is computed by the same
+    operations whatever the buffers and layouts, so it has the same bits.
     """
     d = np.asarray(d, dtype=float)
     if out is None:
         out = np.empty_like(d)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64
+              and out.shape == d.shape and out.flags.writeable
+              and (out.flags.c_contiguous or out.flags.f_contiguous)):
+        # the flat view of out below would be a copy, and the solve lost
+        raise ConfigurationError(
+            f"out must be a writeable C- or F-contiguous float64 array of shape {d.shape}")
     if work is None:
         work = membership_work(*d.shape)
-    order = "F" if np.isfortran(d) else "C"
-    u = work[6, :d.size].reshape(d.shape, order=order)
+    order = "F" if np.isfortran(out) else "C"
     q = 1.0 - p
-    # u holds r = d/gamma until the kept entries are solved. d/gamma past
+    # out holds r = d/gamma until the kept entries are solved. d/gamma past
     # float range is the exact limit of a zero membership. lam*p*q/gamma
     # can underflow to 0 for vanishing lam; ln 0 = -inf is the correct
     # limit and gives z = -0, W0 = 0, u = exp(-r)
     with np.errstate(over="ignore", divide="ignore"):
-        r = np.divide(d, gamma[None, :], out=u)
+        r = np.divide(d, gamma[None, :], out=out)
         log_c = np.log(lam * p * q / gamma)[None, :]
     if lam == 0.0:
         np.negative(r, out=r)
@@ -147,9 +150,9 @@ def update_memberships(d: np.ndarray, gamma: np.ndarray, lam: float, p: float,
     else:
         log_mz = np.multiply(q, r, out=work[1, :d.size].reshape(d.shape, order=order))
         log_mz += log_c
-        # from here on log_mz and u are flat views in memory order, so one
+        # from here on log_mz and out are flat views in memory order, so one
         # flat index addresses both
-        log_mz, flat = work[1, :d.size], u.ravel(order="K")
+        log_mz, flat = work[1, :d.size], out.ravel(order="K")
         keep = (log_mz < math.log(p) - p).nonzero()[0]
         # take writes straight into its out only when mode is not "raise"
         z = log_mz.take(keep, out=work[0, :keep.size], mode="clip")
@@ -159,7 +162,6 @@ def update_memberships(d: np.ndarray, gamma: np.ndarray, lam: float, p: float,
         w /= q
         w -= flat.take(keep, out=work[2, :keep.size], mode="clip")
         np.exp(w, out=w)
-        u.fill(0.0)
+        out.fill(0.0)
         flat[keep] = w
-    out[...] = u
     return out

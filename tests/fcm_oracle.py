@@ -1,8 +1,9 @@
 """Reference FCM loop that allocates fresh arrays at every step.
 
 This is the plain form of sparsepcm.fcm.run_fcm: each step builds its
-distance matrix from np.zeros, its weights from 1/d and its squared
-weights from u * u, with a full d == 0 pass for coincident points. The
+distance matrix from a column-major np.zeros, as the production loop's
+buffers are, its weights from 1/d and its squared weights from u * u,
+each in d's layout, with a full d == 0 pass for coincident points. The
 production loop reuses its buffers instead, with the same arithmetic in
 the same order, so the two must agree bit for bit. Only the seeding and
 the membership-mass floor are shared with it.
@@ -15,9 +16,10 @@ from sparsepcm.fcm import _DENOM_FLOOR, _seed_representatives
 
 
 def squared_distances(data, theta):
-    """N x m squared distances, summed from zero one feature at a time."""
+    """N x m squared distances, column-major, summed from zero one feature
+    at a time."""
     x = data.points
-    d = np.zeros((x.shape[0], theta.shape[0]))
+    d = np.zeros((x.shape[0], theta.shape[0]), order="F")
     for k in range(x.shape[1]):
         diff = x[:, k, None] - theta[None, :, k]
         d += diff * diff
@@ -25,8 +27,8 @@ def squared_distances(data, theta):
 
 
 def memberships(d):
-    """Row-stochastic fuzzifier-2 memberships; zero-distance rows split
-    their mass over the coincident clusters."""
+    """Row-stochastic fuzzifier-2 memberships in d's layout; zero-distance
+    rows split their mass over the coincident clusters."""
     zero_rows = (d == 0.0).any(axis=1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv = 1.0 / d

@@ -2,13 +2,14 @@
 
 This is the plain form of sparsepcm.algorithms.run: each iteration builds
 its distance matrix, its memberships and every temporary of the
-membership solve anew, and the solve is written as whole-array
-expressions. The production loop reuses one workspace per run and
-solves in reused scratch instead, with the same arithmetic on every
-entry, so the two must agree bit for bit. The loop is built from the package's
-public functions; only the steps that read the workspace, the membership
-solve and the theta update, are spelled out here, and the scales come
-from bookkeeping_oracle's grouped form, one N x l pass.
+membership solve anew, column-major as the production loop's, and the
+solve is written as whole-array expressions. The production loop reuses
+one workspace per run and solves in it instead, with the same arithmetic
+on every entry and the same column sums, so the two must agree bit for
+bit. The loop is built from the package's public functions; only the
+steps that read the workspace, the membership solve and the theta
+update, are spelled out here, and the scales come from
+bookkeeping_oracle's grouped form, one N x l pass.
 """
 
 import math
@@ -42,8 +43,8 @@ def lambert_w0(z):
 
 
 def memberships(d, gamma, lam, p):
-    """The N x m sparse memberships, through boolean-mask gathers and
-    scatters of fresh arrays."""
+    """The N x m sparse memberships, in d's layout, through boolean-mask
+    gathers and scatters of fresh arrays."""
     with np.errstate(over="ignore"):
         r = d / gamma[None, :]
     if lam == 0.0:
@@ -59,9 +60,8 @@ def memberships(d, gamma, lam, p):
 
 
 def update_theta(u, data, live):
-    """Membership-weighted means of the live columns, from a fresh copy of
-    those columns and the column sums of the whole row-major u."""
-    return (u[:, live].T @ data.points) / u.sum(axis=0)[live, None]
+    """Membership-weighted means of the live columns of u."""
+    return (u.T @ data.points)[live] / u.sum(axis=0)[live, None]
 
 
 def run(data, config):

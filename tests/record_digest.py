@@ -1,6 +1,6 @@
 """Print one digest line per benchmark run, to diff the records of two commits.
 
-    python3 tests/record_digest.py > digest.txt
+    python3 tests/record_digest.py [--save DIR] > digest.txt
 
 Runs perfbench's SPARSE_PAIRS (through algorithms.run) and CLASSIC_PAIRS
 (through cli.run_experiment, every artifact written) at fixture seeds
@@ -13,10 +13,19 @@ report.json again without wall_time. A run that raises a
 ClusteringError prints it instead. Run the script from two checkouts
 and diff the output: equal lines mean equal records, bit for bit.
 
+With --save DIR each run's raw record also goes to DIR/<name>.npz, the
+slashes of its name written as "__": theta, gamma, lam, labels,
+memberships, m_final, iterations, converged, the FCM counts, the
+cluster count of every iteration, the metrics as JSON, the data's
+standard deviation per feature and the error message, empty for a run
+that finished. record_compare.py tells apart how two such directories
+differ.
+
 pytest does not collect this file; test_record_digest.py checks that it
 is deterministic.
 """
 
+import argparse
 import hashlib
 import json
 import sys
@@ -55,9 +64,27 @@ def _artifacts(out, algorithm):
     return " ".join(shas)
 
 
-def digest_line(name, data, config, fixture=None, fixture_seed=0):
+def save_record(directory, name, data, report=None, error=""):
+    """Write the raw record of one run, or its error message, to
+    directory/<name>.npz."""
+    fields = {"error": error, "scale": data.points.std(axis=0)}
+    if report is not None:
+        fields.update(
+            theta=report.theta_final, gamma=report.gamma_final, lam=report.lam_final,
+            labels=report.labels_final, memberships=report.memberships,
+            m_final=report.m_final, iterations=report.iterations,
+            converged=report.converged, fcm_iterations=report.fcm_iterations,
+            fcm_converged=report.fcm_converged,
+            history_m=np.array([rec.m for rec in report.history], dtype=int),
+            metrics=json.dumps(report.metrics, sort_keys=True),
+        )
+    np.savez(Path(directory) / (name.replace("/", "__") + ".npz"), **fields)
+
+
+def digest_line(name, data, config, fixture=None, fixture_seed=0, save=None):
     """The digest of one run: through cli.run_experiment when a fixture name
-    is given, else through algorithms.run on data."""
+    is given, else through algorithms.run on data. With a directory in save,
+    the run's raw record is written there too."""
     try:
         if fixture is None:
             report, files = algorithms.run(data, config), ""
@@ -69,14 +96,19 @@ def digest_line(name, data, config, fixture=None, fixture_seed=0):
                 ))[0]
                 files = " " + _artifacts(Path(tmp), config.algorithm)
     except ClusteringError as exc:
-        return f"{name} error={type(exc).__name__}: {exc}"
+        line = f"{name} error={type(exc).__name__}: {exc}"
+        if save is not None:
+            save_record(save, name, data, error=line)
+        return line
+    if save is not None:
+        save_record(save, name, data, report)
     record = _sha(_without_wall_time(report.to_dict()))
     u = hashlib.sha256(np.ascontiguousarray(report.memberships).tobytes()).hexdigest()
     return (f"{name} m_final={report.m_final} iterations={report.iterations} "
             f"converged={report.converged} record={record} memberships={u}{files}")
 
 
-def fixture_lines(pairs, via_cli):
+def fixture_lines(pairs, via_cli, save=None):
     for fs in FIXTURE_SEEDS:
         drawn = {}
         for fixture, algorithm, settings in pairs:
@@ -85,11 +117,11 @@ def fixture_lines(pairs, via_cli):
             yield digest_line(
                 f"{fixture}/{algorithm}/{fs}", drawn[fixture],
                 AlgoConfig(algorithm=algorithm, seed=fs, **settings),
-                fixture=fixture if via_cli else None, fixture_seed=fs,
+                fixture=fixture if via_cli else None, fixture_seed=fs, save=save,
             )
 
 
-def small_n_lines():
+def small_n_lines(save=None):
     for draw in SMALL_N_DRAWS:
         case = small_n_case(draw)
         for algorithm in ALGORITHMS:
@@ -98,12 +130,17 @@ def small_n_lines():
                 max_iter=50,
                 alpha=case.config.alpha if algorithm in ("sapcm", "apcm") else None,
             )
-            yield digest_line(f"small-n/{draw}/{algorithm}", case.data, config)
+            yield digest_line(f"small-n/{draw}/{algorithm}", case.data, config, save=save)
 
 
-def main():
-    for lines in (fixture_lines(SPARSE_PAIRS, False), fixture_lines(CLASSIC_PAIRS, True),
-                  small_n_lines()):
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--save", type=Path, help="directory for each run's raw record")
+    save = ap.parse_args(argv).save
+    if save is not None:
+        save.mkdir(parents=True, exist_ok=True)
+    for lines in (fixture_lines(SPARSE_PAIRS, False, save),
+                  fixture_lines(CLASSIC_PAIRS, True, save), small_n_lines(save)):
         for line in lines:
             print(line, flush=True)
 

@@ -225,8 +225,7 @@ def _oracle_cases():
             config = replace(case.config, algorithm=algorithm, alpha=alpha, K=None)
             yield pytest.param(case.data, config, id=f"small-n/{draw}/{algorithm}")
     # coordinates near 1e150 end the adaptive runs at one cluster inside
-    # the loop, and m_ini = 1 starts every run there: column sums of a
-    # single column take numpy's own pairwise sum
+    # the loop, and m_ini = 1 starts every run there
     huge = DataSet(points=np.random.default_rng(0).normal(size=(40, 2)) * 1e150)
     for algorithm in ALGORITHMS:
         alpha = 1.0 if algorithm in ("sapcm", "apcm") else None
@@ -237,8 +236,8 @@ def _oracle_cases():
 
 @pytest.mark.parametrize("data, config", _oracle_cases())
 def test_run_matches_the_fresh_array_loop_oracle(data, config):
-    # the workspace, the column-major distances and the solve in scratch
-    # change no bit of the record or of the memberships
+    # the workspace and the solve in place change no bit of the record or
+    # of the memberships
     got = _assert_matches_loop_oracle(data, config)
     counts = {rec.m for rec in got.history}
     if config.m_ini == 1:
@@ -256,7 +255,7 @@ def _assert_matches_loop_oracle(data, config):
     got, expected = run(data, config), loop_oracle.run(data, config)
     docs = [{k: v for k, v in r.to_dict().items() if k != "wall_time"} for r in (got, expected)]
     assert json.dumps(docs[0]) == json.dumps(docs[1])
-    assert got.memberships.flags.c_contiguous and got.memberships.flags.owndata
+    assert got.memberships.flags.f_contiguous and got.memberships.flags.owndata
     assert got.memberships.shape == expected.memberships.shape
     np.testing.assert_array_equal(got.memberships.view(np.int64),
                                   expected.memberships.view(np.int64))

@@ -12,7 +12,7 @@ from sparsepcm import (
     DataSet,
     RunReport,
 )
-from sparsepcm.core import IterationRecord, column_sums, squared_distances
+from sparsepcm.core import IterationRecord, squared_distances
 
 
 def test_dataset_coerces_to_float_matrix():
@@ -68,7 +68,7 @@ def test_squared_distances_matches_manual():
         x[7] = theta[2]
         d = squared_distances(DataSet(points=x), theta)
         manual = ((x[:, None, :] - theta[None, :, :]) ** 2).sum(axis=2)
-        assert d.shape == (20, 4)
+        assert d.shape == (20, 4) and d.flags.f_contiguous
         np.testing.assert_allclose(d, manual, atol=1e-12)
         assert (d >= 0).all()
         # a point on a representative is exactly at distance zero
@@ -80,46 +80,6 @@ def test_squared_distances_matches_manual():
             assert out[7, 2] == 0.0
     with pytest.raises(ConfigurationError, match=r"theta shape \(4, 2\) does not match"):
         squared_distances(DataSet(points=x), theta[:, :2])
-
-
-def _column_sum_cases():
-    """Matrices of every column count from 1 to 64 over the row counts
-    around numpy's blocks of 8 and 128, with zeros and magnitudes from
-    1e-300 to 1e300, as leading views of a flat buffer at offsets 0 and
-    1 (the shape of the main loop's u), and as column-major and strided
-    copies."""
-    rng = np.random.default_rng(0)
-    for n in (1, 2, 7, 8, 9, 127, 128, 129, 5300):
-        for m in range(1, 65):
-            buf = rng.random(n * m + 1) * 10.0 ** rng.uniform(-300.0, 300.0, n * m + 1)
-            buf[rng.random(buf.size) < 0.2] = 0.0
-            for off in (0, 1):
-                yield buf[off:off + n * m].reshape(n, m)
-            if n <= 129:
-                u = buf[:n * m].reshape(n, m)
-                yield np.asfortranarray(u)
-                yield np.repeat(u, 2, axis=0)[::2]
-
-
-def test_column_sums_match_numpy_bit_for_bit():
-    for u in _column_sum_cases():
-        got, expected = column_sums(u), u.sum(axis=0)
-        assert got.shape == expected.shape, u.shape
-        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64),
-                                      err_msg=f"{u.shape} {u.strides}")
-
-
-def test_column_sums_have_one_owner():
-    """algorithms and fcm take their float column sums from core.column_sums,
-    never from .sum(axis=0), so its layout rule has one owner."""
-    for name in ("algorithms.py", "fcm.py"):
-        path = Path(sparsepcm.__file__).parent / name
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
-                    and node.func.attr == "sum":
-                axes = [kw.value for kw in node.keywords if kw.arg == "axis"] + node.args[:1]
-                assert not [a for a in axes if isinstance(a, ast.Constant) and a.value == 0], \
-                    f"{name}:{node.lineno}"
 
 
 def test_exception_hierarchy():

@@ -135,9 +135,8 @@ def test_run_fcm_plain_steps_match_allocating_oracle(
     np.testing.assert_array_equal(res.theta, theta)
     np.testing.assert_array_equal(res.u_fcm, u_fcm)
     np.testing.assert_array_equal(res.d, d)
+    assert res.u_fcm.flags.f_contiguous and res.d.flags.f_contiguous
     assert res.iterations == iterations == max_iter
-    # the scales read the column-major d with the bits of the oracle's
-    # fresh row-major arrays
     mass = u_fcm.sum(axis=0)
     for got, values in [(gamma_init_pcm(res), d), (eta_init_sapcm(res), np.sqrt(d))]:
         np.testing.assert_array_equal(got.view(np.int64),
@@ -226,7 +225,7 @@ def test_fcm_step_raises_when_a_cluster_loses_all_mass():
     # every point sits on representative 1 or 2, so representative 3 gets no mass
     data = DataSet(points=np.array([(0.0, 0.0)] * 3 + [(2.0, 0.0)] * 3))
     theta = np.array([(0.0, 0.0), (2.0, 0.0), (1.0, 0.0)])
-    d, w = np.empty((6, 3), order="F"), np.empty((6, 3))
+    d, w = np.empty((6, 3), order="F"), np.empty((6, 3), order="F")
     with pytest.raises(DegenerateClusterError, match="lost all membership mass"):
         fcm._fcm_step(data, theta, d, w)
 

@@ -177,3 +177,15 @@ def test_update_memberships_into_out_has_the_bits_of_the_fresh_solve(d_order, ou
     np.testing.assert_array_equal(_bits(d), _bits(before))
     assert (out[2] == 0.0).all() and (out[1] == 0.0).all() == (K > 0.0)
     assert 0.0 < out[3:].max() <= 1.0
+
+
+@pytest.mark.parametrize("out", [
+    np.full((6, 6), -1.0)[:, ::2],          # strided: its flat view would be a copy
+    np.empty((6, 2)),                       # another shape
+    np.empty((6, 3), dtype=np.float32),
+    np.frombuffer(bytes(6 * 3 * 8)).reshape(6, 3),  # read-only
+], ids=["strided", "shape", "float32", "read-only"])
+def test_update_memberships_refuses_an_out_it_cannot_solve_in(out):
+    d = np.random.default_rng(0).uniform(0.0, 2.0, size=(6, 3))
+    with pytest.raises(ConfigurationError, match="out must be"):
+        update_memberships(d, np.ones(3), compute_lambda(1.0, 0.5, 0.9), 0.5, out=out)
