@@ -195,11 +195,10 @@ def run(data: DataSet, config: AlgoConfig) -> RunReport:
     theta = fcm.theta
     lam = compute_lambda(float(gamma.min()), config.p, config.K)
     history = []
-    # one workspace for the run. Clusters are only ever dropped, so the
-    # leading m columns of d and u_buf, both contiguous, serve every later m
-    n, m = data.n_points, config.m_ini
-    d, u_buf = np.empty((n, m), order="F"), np.empty((n, m), order="F")
-    work = membership_work(n, m)
+    # FCM's two N x m_ini buffers, dead once the scales are set, are the
+    # loop's. Clusters are only ever dropped, so the leading m columns of d
+    # and u_buf, both contiguous, serve every later m
+    d, u_buf, work = fcm.d, fcm.u_fcm, membership_work(data.n_points, config.m_ini)
     for t in range(config.max_iter):
         m = len(gamma)
         u = update_memberships(squared_distances(data, theta, out=d[:, :m]), gamma, lam,

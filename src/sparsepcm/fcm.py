@@ -23,6 +23,7 @@ _DENOM_FLOOR = 1e-12
 _STEP_GROWTH = 2.0
 
 
+# run() reuses d and u_fcm as its loop's buffers once the scales are set
 @dataclass(frozen=True)
 class FcmResult:
     theta: np.ndarray       # m x l final representatives

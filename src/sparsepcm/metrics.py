@@ -102,7 +102,7 @@ def mean_distance(theta, truth_centers) -> float:
     representatives are ignored); with fewer, every true center simply
     takes its nearest representative, reuse allowed.
     """
-    theta, centers = _rows(theta, "theta"), _rows(truth_centers, "truth_centers")
+    theta, centers = float_array(theta, "theta"), float_array(truth_centers, "truth_centers")
     if theta.shape[1] != centers.shape[1]:
         raise ConfigurationError("dimension mismatch between theta and truth_centers")
     if not (theta.size and centers.size):
@@ -194,12 +194,3 @@ def _assignment(cost, maximize=False):
         order = np.argsort(col4row)
         return np.asarray(col4row)[order], order
     return np.arange(nr), np.asarray(col4row)
-
-
-def _rows(a, name):
-    """a, a 2-D array or a single 1-D row, as a 2-D float array."""
-    try:
-        a = np.atleast_2d(a)
-    except ValueError:  # ragged nesting, which float_array reports
-        pass
-    return float_array(a, name)

@@ -28,9 +28,9 @@ update_memberships(d, gamma, lam, p) solves every entry of an N x m
 matrix at once from the squared distances alone; it never reads the
 representatives. With lam = 0 everything collapses to the classical
 exponential membership exp(-d/gamma). A caller that solves again and
-again, as the main loop does, hands it the result array and a scratch
-from membership_work(N, m), so that no call allocates an N x m float
-array. The solve runs in the result array itself.
+again, as the main loop does, hands it a column-major result array and a
+scratch from membership_work(N, m), so that no call allocates an N x m
+float array. The solve runs in the result array itself.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def membership_work(n: int, m: int) -> np.ndarray:
     """Scratch for update_memberships on N x m matrices, to reuse across calls.
 
     Row 0 holds the kept entries' z and rows 1-5 _lambert_w0's work; row 1
-    holds ln(-z) of every entry before, in out's memory order.
+    holds ln(-z) of every entry before, column by column.
     """
     return np.empty((6, n * m))
 
@@ -117,25 +117,24 @@ def update_memberships(d: np.ndarray, gamma: np.ndarray, lam: float, p: float,
     distances d, the m scales gamma, the sparsity weight lam and the norm
     exponent p.
 
-    The memberships go into out, a C- or F-contiguous N x m float64
-    array, which is returned; without out they go into a new array in
-    d's layout. work, from membership_work(N, m), holds the temporaries;
-    without it they are allocated. The solve runs in out, in its memory
-    order; d is left unchanged. Every entry is computed by the same
-    operations whatever the buffers and layouts, so it has the same bits.
+    The memberships go into out, an F-contiguous N x m float64 array,
+    which is returned; without out they go into a new column-major one.
+    d may be in either order. work, from membership_work(N, m), holds the
+    temporaries; without it they are allocated. The solve runs in out; d
+    is left unchanged. Every entry is computed by the same operations
+    whatever the buffers and d's layout, so it has the same bits.
     """
     d = np.asarray(d, dtype=float)
     if out is None:
-        out = np.empty_like(d)
+        out = np.empty(d.shape, order="F")
     elif not (isinstance(out, np.ndarray) and out.dtype == np.float64
               and out.shape == d.shape and out.flags.writeable
-              and (out.flags.c_contiguous or out.flags.f_contiguous)):
+              and out.flags.f_contiguous):
         # the flat view of out below would be a copy, and the solve lost
         raise ConfigurationError(
-            f"out must be a writeable C- or F-contiguous float64 array of shape {d.shape}")
+            f"out must be a writeable F-contiguous float64 array of shape {d.shape}")
     if work is None:
         work = membership_work(*d.shape)
-    order = "F" if np.isfortran(out) else "C"
     q = 1.0 - p
     # out holds r = d/gamma until the kept entries are solved. d/gamma past
     # float range is the exact limit of a zero membership. lam*p*q/gamma
@@ -148,11 +147,11 @@ def update_memberships(d: np.ndarray, gamma: np.ndarray, lam: float, p: float,
         np.negative(r, out=r)
         np.exp(r, out=r)
     else:
-        log_mz = np.multiply(q, r, out=work[1, :d.size].reshape(d.shape, order=order))
+        log_mz = np.multiply(q, r, out=work[1, :d.size].reshape(d.shape, order="F"))
         log_mz += log_c
-        # from here on log_mz and out are flat views in memory order, so one
-        # flat index addresses both
-        log_mz, flat = work[1, :d.size], out.ravel(order="K")
+        # from here on log_mz and out are flat views, column by column, so
+        # one flat index addresses both
+        log_mz, flat = work[1, :d.size], out.ravel(order="F")
         keep = (log_mz < math.log(p) - p).nonzero()[0]
         # take writes straight into its out only when mode is not "raise"
         z = log_mz.take(keep, out=work[0, :keep.size], mode="clip")

@@ -1,9 +1,6 @@
-import importlib.util
 import json
 import re
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +29,7 @@ from sparsepcm.solver import compute_lambda, update_memberships
 
 import bookkeeping_oracle as oracle
 import loop_oracle
+from bench_workloads import small_n_case
 from blob_draws import blob_draw
 import reference_tables as ref
 
@@ -202,24 +200,14 @@ def test_run_raises_when_no_cluster_is_left(algorithm, monkeypatch):
         run(_blob(n=40), AlgoConfig(algorithm, 3, alpha=1.0, seed=0))
 
 
-def _perfbench_workloads():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # where dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 def _oracle_cases():
     yield pytest.param(make_fixture("example1", seed=0), AlgoConfig("spcm", 5),
                        id="example1/spcm")
     yield pytest.param(make_fixture("experiment2", seed=0), AlgoConfig("sapcm", 10, alpha=0.15),
                        id="experiment2/sapcm")
     yield pytest.param(make_fixture("iris"), AlgoConfig("spcm", 10), id="iris/spcm")
-    workloads = _perfbench_workloads()
     for draw in range(3):
-        case = workloads.small_n_case(draw)
+        case = small_n_case(draw)
         for algorithm in ALGORITHMS:
             alpha = case.config.alpha if algorithm in ("sapcm", "apcm") else None
             config = replace(case.config, algorithm=algorithm, alpha=alpha, K=None)
@@ -260,6 +248,35 @@ def _assert_matches_loop_oracle(data, config):
     np.testing.assert_array_equal(got.memberships.view(np.int64),
                                   expected.memberships.view(np.int64))
     return got
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_the_loop_solves_in_the_buffers_of_its_fcm_run(algorithm, monkeypatch):
+    """run() allocates no N x m matrix of its own: every solve reads its
+    distances in FCM's d, every solve in the loop writes into FCM's
+    memberships, and the returned memberships are a new column-major array."""
+    fcms, solves = [], []
+
+    def recorded_fcm(*args, **kwargs):
+        fcms.append(run_fcm(*args, **kwargs))
+        return fcms[-1]
+
+    def recorded_solve(d, gamma, lam, p, out=None, work=None):
+        solves.append((d, out))
+        return update_memberships(d, gamma, lam, p, out=out, work=work)
+
+    monkeypatch.setattr("sparsepcm.algorithms.run_fcm", recorded_fcm)
+    monkeypatch.setattr("sparsepcm.algorithms.update_memberships", recorded_solve)
+    case = small_n_case(0)
+    alpha = case.config.alpha if algorithm in ("sapcm", "apcm") else None
+    report = run(case.data, replace(case.config, algorithm=algorithm, alpha=alpha, K=None))
+    (fcm,) = fcms
+    *in_loop, (final_d, final_out) = solves
+    assert len(in_loop) == report.iterations
+    assert final_out is None and np.shares_memory(final_d, fcm.d)
+    for d, out in in_loop:
+        assert np.shares_memory(d, fcm.d) and np.shares_memory(out, fcm.u_fcm)
+    assert report.memberships.flags.f_contiguous and report.memberships.flags.owndata
 
 
 def test_update_theta_returns_only_live_rows():
@@ -443,6 +460,25 @@ def test_sapcm_recovers_three_groups():
     assert report.m_final == 3
     assert report.metrics["sr"] >= 98.0
     assert report.metrics["md"] <= 0.15
+
+
+def test_sapcm_count_recovery_at_alpha_0_4_is_pinned():
+    """A measured pin, not a paper bar: the alpha = 0.4 row of the README's
+    recovery map. sapcm on blob_draw(0..39), at alpha 0.4 instead of each
+    draw's own, with m_ini k+1, 2k and 3k for the draw's k blobs, returns
+    exactly k clusters on 39, 38 and 31 draws and more on the rest."""
+    counts = {}
+    for label, m_ini in (("k+1", lambda k: k + 1), ("2k", lambda k: 2 * k),
+                         ("3k", lambda k: 3 * k)):
+        exact = surplus = 0
+        for seed in range(40):
+            pts, _, _ = blob_draw(seed)
+            k = int(np.random.default_rng(seed).integers(2, 4))
+            m = run(DataSet(points=pts), AlgoConfig("sapcm", m_ini(k), alpha=0.4,
+                                                    seed=seed)).m_final
+            exact, surplus = exact + (m == k), surplus + (m > k)
+        counts[label] = (exact, surplus)
+    assert counts == {"k+1": (39, 1), "2k": (38, 2), "3k": (31, 9)}
 
 
 def test_coincident_representatives_larger_scale_wins():

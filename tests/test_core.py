@@ -199,3 +199,16 @@ def test_only_core_datagen_and_metrics_read_the_truth():
                 readers.add(path.stem)
     assert "metrics" in readers
     assert sorted(readers - {"core", "datagen", "metrics"}) == []
+
+
+def test_only_core_fcm_and_solver_name_a_memory_order():
+    """The layout has one owner: outside core, fcm and solver no module of the
+    package names a memory order, as an order= keyword or through np.isfortran."""
+    namers = set()
+    for path in Path(sparsepcm.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.keyword) and node.arg == "order"
+                    or isinstance(node, ast.Attribute) and node.attr == "isfortran"):
+                namers.add(path.stem)
+    assert "solver" in namers
+    assert sorted(namers - {"core", "fcm", "solver"}) == []

@@ -118,14 +118,13 @@ def test_argument_errors_are_configuration_errors():
                            (np.zeros((1, 2)), np.zeros((0, 2)))):
         with pytest.raises(ConfigurationError, match="at least one row"):
             mean_distance(theta, centers)
-    # non-finite, text and ragged input is refused with the argument's name
+    # non-finite, text, ragged and 1-D input is refused with the argument's name
     for theta, centers, name in ((np.array([[np.nan, 0.0]]), np.zeros((1, 2)), "theta"),
                                  ("ab", np.zeros((1, 2)), "theta"),
+                                 ([3.0, 4.0], np.zeros((1, 2)), "theta"),
                                  (np.zeros((1, 2)), [[0.0, 0.0], [1.0]], "truth_centers")):
         with pytest.raises(ConfigurationError, match=f"^{name} "):
             mean_distance(theta, centers)
-    # a single 1-D row is still a one-row matrix
-    assert mean_distance([3.0, 4.0], np.zeros((1, 2))) == pytest.approx(5.0)
 
 
 def test_mean_distance_optimal_assignment():
