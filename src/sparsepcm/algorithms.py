@@ -37,7 +37,7 @@ from .core import (
 )
 from .fcm import eta_init_sapcm, gamma_init_pcm, run_fcm
 from .metrics import score
-from .solver import compute_lambda, membership_work, update_memberships
+from .solver import compute_lambda, update_memberships
 
 _DUPLICATE_RADIUS_FACTOR = 1.5
 
@@ -198,11 +198,11 @@ def run(data: DataSet, config: AlgoConfig) -> RunReport:
     # FCM's two N x m_ini buffers, dead once the scales are set, are the
     # loop's. Clusters are only ever dropped, so the leading m columns of d
     # and u_buf, both contiguous, serve every later m
-    d, u_buf, work = fcm.d, fcm.u_fcm, membership_work(data.n_points, config.m_ini)
+    d, u_buf = fcm.d, fcm.u_fcm
     for t in range(config.max_iter):
         m = len(gamma)
         u = update_memberships(squared_distances(data, theta, out=d[:, :m]), gamma, lam,
-                               config.p, out=u_buf[:, :m], work=work)
+                               config.p, out=u_buf[:, :m])
         mass = u.sum(axis=0)
         if adaptive:
             labels = assign_labels(u)
@@ -231,8 +231,7 @@ def run(data: DataSet, config: AlgoConfig) -> RunReport:
         keep = remove_duplicates(theta, gamma)
         theta, gamma = theta[keep], gamma[keep]
     m = len(gamma)
-    u = update_memberships(squared_distances(data, theta, out=d[:, :m]), gamma, lam,
-                           config.p, work=work)
+    u = update_memberships(squared_distances(data, theta, out=d[:, :m]), gamma, lam, config.p)
     labels = assign_labels(u)
     return RunReport(
         algorithm=config.algorithm,

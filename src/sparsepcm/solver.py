@@ -28,9 +28,8 @@ update_memberships(d, gamma, lam, p) solves every entry of an N x m
 matrix at once from the squared distances alone; it never reads the
 representatives. With lam = 0 everything collapses to the classical
 exponential membership exp(-d/gamma). A caller that solves again and
-again, as the main loop does, hands it a column-major result array and a
-scratch from membership_work(N, m), so that no call allocates an N x m
-float array. The solve runs in the result array itself.
+again, as the main loop does, hands it a column-major result array to
+solve in; the solve allocates its own temporaries.
 """
 
 from __future__ import annotations
@@ -58,16 +57,7 @@ def compute_lambda(gamma_min, p, K):
     return K * gamma_min * math.exp(p - 2.0) / (p * (1.0 - p))
 
 
-def membership_work(n: int, m: int) -> np.ndarray:
-    """Scratch for update_memberships on N x m matrices, to reuse across calls.
-
-    Row 0 holds the kept entries' z and rows 1-5 _lambert_w0's work; row 1
-    holds ln(-z) of every entry before, column by column.
-    """
-    return np.empty((6, n * m))
-
-
-def _lambert_w0(z, work):
+def _lambert_w0(z):
     """Principal branch W0 of w*e**w = z for an array z in (-1/e, 0].
 
     Starts from the branch-point series for z < -0.25 and from z*(1 - z)
@@ -75,13 +65,13 @@ def _lambert_w0(z, work):
     the equation allows: a few ulps, growing like eps/(1 + w) next to the
     branch point at z = -1/e, w = -1.
 
-    work, 5 rows of at least z.size floats, holds the result (its first
-    row) and the temporaries. Each step is
+    One (5, z.size) array holds the result (its first row) and the
+    temporaries. Each step is
     w - f / (ew*(w+1) - (w+2)*f/(2*w+2)) with f = w*ew - z, evaluated
     in place one operation at a time, operands swapped only where the
     operation commutes, so the result has the expression's bits.
     """
-    w, ew, f, t, g = work[:, :z.size]
+    w, ew, f, t, g = np.empty((5, z.size))
     # s = sqrt(2*(e*z + 1)) in t, the series s*(1 - s/3) - 1 in ew
     np.multiply(z, math.e, out=t)
     t += 1.0
@@ -112,17 +102,16 @@ def _lambert_w0(z, work):
 
 
 def update_memberships(d: np.ndarray, gamma: np.ndarray, lam: float, p: float,
-                       out=None, work=None) -> np.ndarray:
+                       out=None) -> np.ndarray:
     """Solve every entry of the N x m membership matrix for the squared
     distances d, the m scales gamma, the sparsity weight lam and the norm
     exponent p.
 
     The memberships go into out, an F-contiguous N x m float64 array,
     which is returned; without out they go into a new column-major one.
-    d may be in either order. work, from membership_work(N, m), holds the
-    temporaries; without it they are allocated. The solve runs in out; d
-    is left unchanged. Every entry is computed by the same operations
-    whatever the buffers and d's layout, so it has the same bits.
+    d may be in either order. The solve runs in out; d is left unchanged.
+    Every entry is computed by the same operations whatever the buffer and
+    d's layout, so it has the same bits.
     """
     d = np.asarray(d, dtype=float)
     if out is None:
@@ -133,8 +122,6 @@ def update_memberships(d: np.ndarray, gamma: np.ndarray, lam: float, p: float,
         # the flat view of out below would be a copy, and the solve lost
         raise ConfigurationError(
             f"out must be a writeable F-contiguous float64 array of shape {d.shape}")
-    if work is None:
-        work = membership_work(*d.shape)
     q = 1.0 - p
     # out holds r = d/gamma until the kept entries are solved. d/gamma past
     # float range is the exact limit of a zero membership. lam*p*q/gamma
@@ -147,19 +134,18 @@ def update_memberships(d: np.ndarray, gamma: np.ndarray, lam: float, p: float,
         np.negative(r, out=r)
         np.exp(r, out=r)
     else:
-        log_mz = np.multiply(q, r, out=work[1, :d.size].reshape(d.shape, order="F"))
+        log_mz = np.multiply(q, r, order="F")
         log_mz += log_c
         # from here on log_mz and out are flat views, column by column, so
         # one flat index addresses both
-        log_mz, flat = work[1, :d.size], out.ravel(order="F")
+        log_mz, flat = log_mz.ravel(order="F"), out.ravel(order="F")
         keep = (log_mz < math.log(p) - p).nonzero()[0]
-        # take writes straight into its out only when mode is not "raise"
-        z = log_mz.take(keep, out=work[0, :keep.size], mode="clip")
+        z = log_mz.take(keep)
         np.exp(z, out=z)
         np.negative(z, out=z)
-        w = _lambert_w0(z, work[1:6])
+        w = _lambert_w0(z)
         w /= q
-        w -= flat.take(keep, out=work[2, :keep.size], mode="clip")
+        w -= flat.take(keep)
         np.exp(w, out=w)
         out.fill(0.0)
         flat[keep] = w

@@ -4,20 +4,30 @@
     python3 tests/record_digest.py --save B > /dev/null    # in the other
     python3 tests/record_compare.py A B
 
-Each run named in either directory falls in one of three classes:
+Each run named in either directory falls in one of four classes:
 
-- bit-equal: every field has the same bits;
+- bit-equal: every field but theta_tol, a setting, has the same bits;
 - rounding: the same error message, m_final, iterations, converged, FCM
   counts, per-iteration cluster counts, labels and metrics apart from md,
   with theta within THETA_BOUND of the data's standard deviation per
   feature (data units for a constant feature), every membership within
   U_BOUND, and gamma, lam and md within REL_BOUND of their size;
+- path moved: the same answer reached by another path. The error
+  message, m_final, labels and metrics apart from md are the same;
+  iterations, FCM counts and per-iteration cluster counts may differ,
+  and so may converged and the FCM's converged flag, since a run that
+  does not converge stops at its cap. Every gap is stated as the theta
+  move it amounts to, in units of the larger theta_tol of the two
+  records: theta and md in data units over theta_tol; the memberships,
+  and gamma and lam relative to their size, times the data's smallest
+  standard deviation over theta_tol. Each must be within PATH_BOUND;
 - outcome moved: anything else, a run found in one directory only
   included.
 
 The script prints the count of each class, the worst theta, membership,
-gamma, lam and md gaps over the runs that are not outcome moved, and the
-name of every run whose outcome moved.
+gamma, lam and md gaps over the bit-equal and rounding runs, the worst
+path gaps against PATH_BOUND, the name of every path moved run whose
+converged flags changed, and the name of every run whose outcome moved.
 """
 
 import json
@@ -29,10 +39,16 @@ import numpy as np
 THETA_BOUND = 1e-8
 U_BOUND = 1e-8
 REL_BOUND = 1e-8
-CLASSES = ("bit-equal", "rounding", "outcome moved")
+# A run stopped by |theta step| < theta_tol at a contraction rate of 0.98
+# per step lies up to 49 theta_tol from its fixed point, so two stops of
+# one fixed point are up to about 100 theta_tol apart. A different fixed
+# point with the same labels sits much further than this away.
+PATH_BOUND = 1e3
+CLASSES = ("bit-equal", "rounding", "path moved", "outcome moved")
 GAPS = ("theta", "memberships", "gamma", "lam", "md")
-_EXACT = ("error", "m_final", "iterations", "converged", "fcm_iterations",
-          "fcm_converged", "history_m", "labels")
+_FLAGS = ("converged", "fcm_converged")
+_SAME_ANSWER = ("error", "m_final", "labels")
+_EXACT = _SAME_ANSWER + _FLAGS + ("iterations", "fcm_iterations", "history_m")
 
 
 def load(directory):
@@ -58,29 +74,43 @@ def _rel(a, b):
 
 def classify(a, b):
     """(class, gaps) of one run's records a and b; gaps maps each name in
-    GAPS to its gap, or is None when the outcome moved."""
+    GAPS to its gap, in theta_tol for a path moved run, or is None when
+    the outcome moved. A path moved run's gaps also say under "cap" how
+    its converged flags changed, empty when they did not."""
     if a is None or b is None or a.keys() != b.keys():
         return "outcome moved", None
-    if all(_bits(a[k]) == _bits(b[k]) for k in a):
+    if all(_bits(a[k]) == _bits(b[k]) for k in a if k != "theta_tol"):
         return "bit-equal", dict.fromkeys(GAPS, 0.0)
-    if "theta" not in a or any(_bits(a[k]) != _bits(b[k]) for k in _EXACT) \
-            or a["theta"].shape != b["theta"].shape:
+    if "theta" not in a or any(_bits(a[k]) != _bits(b[k]) for k in _SAME_ANSWER):
         return "outcome moved", None
     metrics = [json.loads(str(r["metrics"])) or {} for r in (a, b)]
     md = [m.pop("md", None) for m in metrics]
     if metrics[0] != metrics[1] or (None in md and md[0] != md[1]):
         return "outcome moved", None
     unit = np.where(a["scale"] > 0.0, a["scale"], 1.0)
+    theta_gap = np.abs(a["theta"] - b["theta"])
     gaps = {
-        "theta": float((np.abs(a["theta"] - b["theta"]) / unit).max(initial=0.0)),
+        "theta": float((theta_gap / unit).max(initial=0.0)),
         "memberships": float(np.abs(a["memberships"] - b["memberships"]).max(initial=0.0)),
         "gamma": _rel(a["gamma"], b["gamma"]),
         "lam": _rel(a["lam"], b["lam"]),
         "md": 0.0 if md[0] is None else _rel(md[0], md[1]),
     }
     bounds = {"theta": THETA_BOUND, "memberships": U_BOUND}
-    if all(gap <= bounds.get(name, REL_BOUND) for name, gap in gaps.items()):
+    if all(_bits(a[k]) == _bits(b[k]) for k in _EXACT) \
+            and all(gap <= bounds.get(name, REL_BOUND) for name, gap in gaps.items()):
         return "rounding", gaps
+    tol = max(float(a["theta_tol"]), float(b["theta_tol"]))
+    per_tol = float(unit.min()) / tol
+    path = {name: gap * per_tol for name, gap in gaps.items()}
+    path["theta"] = float(theta_gap.max(initial=0.0)) / tol
+    path["md"] = 0.0 if md[0] is None else abs(md[0] - md[1]) / tol
+    if all(gap <= PATH_BOUND for gap in path.values()):
+        path["cap"] = ", ".join(
+            f"{flag} {a[flag]} -> {b[flag]} at {a[count]} -> {b[count]} iterations"
+            for flag, count in zip(_FLAGS, ("iterations", "fcm_iterations"))
+            if a[flag] != b[flag])
+        return "path moved", path
     return "outcome moved", None
 
 
@@ -90,16 +120,29 @@ def compare(dir_a, dir_b):
     return {name: classify(a.get(name), b.get(name)) for name in sorted(a.keys() | b.keys())}
 
 
+def _worst(result, classes, name):
+    """(gap, run) of the largest gap called name over the runs in classes,
+    or None when there is no such run."""
+    return max(((gaps[name], run) for run, (cls, gaps) in result.items() if cls in classes),
+               default=None)
+
+
 def summary(result):
     """The lines the script prints for compare's result."""
     counts = {c: sum(cls == c for cls, _ in result.values()) for c in CLASSES}
     lines = [f"{len(result)} runs: " + ", ".join(f"{counts[c]} {c}" for c in CLASSES)]
     for name in GAPS:
-        worst = max(((gaps[name], run) for run, (_, gaps) in result.items() if gaps),
-                    default=None)
+        worst = _worst(result, CLASSES[:2], name)
         if worst is not None:
             lines.append(f"worst {name} gap {worst[0]:.3g}"
                          + (f" ({worst[1]})" if worst[0] else ""))
+    for name in GAPS:
+        worst = _worst(result, CLASSES[2:3], name)
+        if worst is not None:
+            lines.append(f"worst path {name} gap {worst[0]:.3g} theta_tol, bound"
+                         f" {PATH_BOUND:g} ({worst[1]})")
+    lines += [f"path moved at the cap: {run}: {gaps['cap']}"
+              for run, (cls, gaps) in result.items() if cls == "path moved" and gaps["cap"]]
     lines += [f"outcome moved: {run}" for run, (cls, _) in result.items()
               if cls == "outcome moved"]
     return lines

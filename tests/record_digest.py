@@ -1,11 +1,14 @@
 """Print one digest line per benchmark run, to diff the records of two commits.
 
-    python3 tests/record_digest.py [--save DIR] > digest.txt
+    python3 tests/record_digest.py [--save DIR] [--fixture-seeds A:B]
+        [--small-n-draws A:B] > digest.txt
 
 Runs perfbench's SPARSE_PAIRS (through algorithms.run) and CLASSIC_PAIRS
 (through cli.run_experiment, every artifact written) at fixture seeds
-0-2, then workloads.small_n_case(0..59) under all four algorithms at
-max_iter 50. Each line names the run and gives m_final, iterations,
+A to B-1 (default 0:3), then workloads.small_n_case(A..B-1) (default
+0:60) under all four algorithms at max_iter 50: 273 runs by default.
+--fixture-seeds 0:20 --small-n-draws 60:260 gives the wide set of 1020
+runs. Each line names the run and gives m_final, iterations,
 converged, the sha256 of the report's to_dict() without wall_time and
 the sha256 of the bytes of its membership matrix, which to_dict()
 leaves out; a classic run adds the sha256 of each artifact,
@@ -16,9 +19,9 @@ and diff the output: equal lines mean equal records, bit for bit.
 With --save DIR each run's raw record also goes to DIR/<name>.npz, the
 slashes of its name written as "__": theta, gamma, lam, labels,
 memberships, m_final, iterations, converged, the FCM counts, the
-cluster count of every iteration, the metrics as JSON, the data's
-standard deviation per feature and the error message, empty for a run
-that finished. record_compare.py tells apart how two such directories
+cluster count of every iteration, the metrics as JSON, theta_tol, the
+data's standard deviation per feature and the error message, empty for
+a run that finished. record_compare.py tells apart how two such directories
 differ.
 
 pytest does not collect this file; test_record_digest.py checks that it
@@ -46,6 +49,18 @@ FIXTURE_SEEDS = range(3)
 SMALL_N_DRAWS = range(60)
 
 
+def seed_range(text):
+    """range(A, B) for the command-line text "A:B"."""
+    start, sep, stop = text.partition(":")
+    try:
+        seeds = range(int(start), int(stop))
+    except ValueError:
+        seeds = None
+    if not sep or seeds is None or not 0 <= seeds.start <= seeds.stop:
+        raise argparse.ArgumentTypeError(f"expected A:B with 0 <= A <= B, got {text!r}")
+    return seeds
+
+
 def _without_wall_time(report):
     return {k: v for k, v in report.items() if k != "wall_time"}
 
@@ -64,10 +79,11 @@ def _artifacts(out, algorithm):
     return " ".join(shas)
 
 
-def save_record(directory, name, data, report=None, error=""):
-    """Write the raw record of one run, or its error message, to
-    directory/<name>.npz."""
-    fields = {"error": error, "scale": data.points.std(axis=0)}
+def save_record(directory, name, data, config, report=None, error=""):
+    """Write the raw record of one run under config, or its error message,
+    to directory/<name>.npz."""
+    fields = {"error": error, "scale": data.points.std(axis=0),
+              "theta_tol": config.theta_tol}
     if report is not None:
         fields.update(
             theta=report.theta_final, gamma=report.gamma_final, lam=report.lam_final,
@@ -98,18 +114,18 @@ def digest_line(name, data, config, fixture=None, fixture_seed=0, save=None):
     except ClusteringError as exc:
         line = f"{name} error={type(exc).__name__}: {exc}"
         if save is not None:
-            save_record(save, name, data, error=line)
+            save_record(save, name, data, config, error=line)
         return line
     if save is not None:
-        save_record(save, name, data, report)
+        save_record(save, name, data, config, report)
     record = _sha(_without_wall_time(report.to_dict()))
     u = hashlib.sha256(np.ascontiguousarray(report.memberships).tobytes()).hexdigest()
     return (f"{name} m_final={report.m_final} iterations={report.iterations} "
             f"converged={report.converged} record={record} memberships={u}{files}")
 
 
-def fixture_lines(pairs, via_cli, save=None):
-    for fs in FIXTURE_SEEDS:
+def fixture_lines(pairs, via_cli, save=None, seeds=FIXTURE_SEEDS):
+    for fs in seeds:
         drawn = {}
         for fixture, algorithm, settings in pairs:
             if fixture not in drawn:
@@ -121,8 +137,8 @@ def fixture_lines(pairs, via_cli, save=None):
             )
 
 
-def small_n_lines(save=None):
-    for draw in SMALL_N_DRAWS:
+def small_n_lines(save=None, draws=SMALL_N_DRAWS):
+    for draw in draws:
         case = small_n_case(draw)
         for algorithm in ALGORITHMS:
             config = AlgoConfig(
@@ -136,11 +152,17 @@ def small_n_lines(save=None):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--save", type=Path, help="directory for each run's raw record")
-    save = ap.parse_args(argv).save
+    ap.add_argument("--fixture-seeds", type=seed_range, default=FIXTURE_SEEDS,
+                    metavar="A:B", help="fixture seeds A to B-1 (default 0:3)")
+    ap.add_argument("--small-n-draws", type=seed_range, default=SMALL_N_DRAWS,
+                    metavar="A:B", help="small_n_case draws A to B-1 (default 0:60)")
+    args = ap.parse_args(argv)
+    save = args.save
     if save is not None:
         save.mkdir(parents=True, exist_ok=True)
-    for lines in (fixture_lines(SPARSE_PAIRS, False, save),
-                  fixture_lines(CLASSIC_PAIRS, True, save), small_n_lines(save)):
+    for lines in (fixture_lines(SPARSE_PAIRS, False, save, args.fixture_seeds),
+                  fixture_lines(CLASSIC_PAIRS, True, save, args.fixture_seeds),
+                  small_n_lines(save, args.small_n_draws)):
         for line in lines:
             print(line, flush=True)
 

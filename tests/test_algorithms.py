@@ -194,7 +194,7 @@ def test_run_raises_when_no_cluster_is_left(algorithm, monkeypatch):
     # memberships that are all zero leave no cluster for any point
     monkeypatch.setattr(
         "sparsepcm.algorithms.update_memberships",
-        lambda d, gamma, lam, p, out=None, work=None: np.zeros_like(d),
+        lambda d, gamma, lam, p, out=None: np.zeros_like(d),
     )
     with pytest.raises(DegenerateRunError, match="no point has a compatible cluster"):
         run(_blob(n=40), AlgoConfig(algorithm, 3, alpha=1.0, seed=0))
@@ -261,9 +261,9 @@ def test_the_loop_solves_in_the_buffers_of_its_fcm_run(algorithm, monkeypatch):
         fcms.append(run_fcm(*args, **kwargs))
         return fcms[-1]
 
-    def recorded_solve(d, gamma, lam, p, out=None, work=None):
+    def recorded_solve(d, gamma, lam, p, out=None):
         solves.append((d, out))
-        return update_memberships(d, gamma, lam, p, out=out, work=work)
+        return update_memberships(d, gamma, lam, p, out=out)
 
     monkeypatch.setattr("sparsepcm.algorithms.run_fcm", recorded_fcm)
     monkeypatch.setattr("sparsepcm.algorithms.update_memberships", recorded_solve)

@@ -1,5 +1,6 @@
 import ast
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -212,3 +213,19 @@ def test_only_core_fcm_and_solver_name_a_memory_order():
                 namers.add(path.stem)
     assert "solver" in namers
     assert sorted(namers - {"core", "fcm", "solver"}) == []
+
+
+def test_the_readme_constants_table_points_at_each_value():
+    """Each row of the README's table of constants names a src line, file:N,
+    that holds every number of the row's value."""
+    package = Path(sparsepcm.__file__).parent
+    readme = (package.parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Constants the paper does not give")[1].split("\n## ")[0]
+    # the header row, then one row per constant
+    rows = [row.split(" | ") for row in section.splitlines() if row.startswith("| ")][1:]
+    assert len(rows) == 10
+    for _, value, where, *_ in rows:
+        name, line = where.strip("`").split(":")
+        text = (package / name).read_text(encoding="utf-8").splitlines()[int(line) - 1]
+        numbers = re.findall(r"\d+(?:\.\d+)?(?:e-?\d+)?", value)
+        assert numbers and all(n in text for n in numbers), (where, value, text)

@@ -1,8 +1,8 @@
 """A run's outcome depends on the data, not on its frame.
 
 The paper's cost uses only Euclidean distances, so moving the points
-and the truth centers by a reflection or a reordering of the features
-must give the same clustering.
+and the truth centers by a reflection, a reordering of the features or
+a rotation must give the same clustering.
 
 - Reflection x -> -x negates every coordinate exactly, and every sum
   and product of a run rounds the same way for a value and its
@@ -12,6 +12,9 @@ must give the same clustering.
 - Reversing the order of the features changes the order in which the
   squared distances add up, so theta may move by rounding. The counts,
   the flags and the labels may not move.
+- A rotation by one fixed orthogonal matrix per feature count rounds
+  every coordinate, so theta, rotated back, may move by rounding. The
+  counts, the flags and the labels may not move.
 
 The case list is fixed: iris and experiment1 under their benchmark
 settings, and small_n_case(0..9) under all four algorithms at its
@@ -58,6 +61,27 @@ def _reverse_features(a):
     return np.ascontiguousarray(a[:, ::-1])
 
 
+def _rotation(n_features):
+    """A fixed orthogonal matrix: Q of the QR factors of a seed-0 standard
+    normal draw, each column's sign set so that diag(R) is positive."""
+    q, r = np.linalg.qr(np.random.default_rng(0).standard_normal((n_features, n_features)))
+    return q * np.sign(np.diag(r))
+
+
+def _rotate(a):
+    return a @ _rotation(a.shape[1]).T
+
+
+def _assert_same_outcome(base, moved, theta_back, data):
+    """moved has base's counts, flags and labels, and theta_back, its theta
+    mapped back to base's frame, lies within 1e-12 of the data's std."""
+    for name in ("m_final", "iterations", "fcm_iterations", "converged"):
+        assert getattr(moved, name) == getattr(base, name), name
+    np.testing.assert_array_equal(moved.labels_final, base.labels_final)
+    gap = np.abs(theta_back - base.theta_final) / data.points.std(axis=0)
+    assert gap.max() <= 1e-12
+
+
 def _record(report, sign=1.0):
     """report.to_dict() without wall_time, every theta times sign, as JSON text:
     equal texts mean equal bits."""
@@ -78,8 +102,10 @@ def test_a_reflection_keeps_every_bit(data, config):
 @pytest.mark.parametrize("data, config", _cases())
 def test_reversed_features_keep_the_outcome(data, config):
     base, reversed_ = run(data, config), run(_moved(data, _reverse_features), config)
-    for name in ("m_final", "iterations", "fcm_iterations", "converged"):
-        assert getattr(reversed_, name) == getattr(base, name), name
-    np.testing.assert_array_equal(reversed_.labels_final, base.labels_final)
-    gap = np.abs(reversed_.theta_final[:, ::-1] - base.theta_final) / data.points.std(axis=0)
-    assert gap.max() <= 1e-12
+    _assert_same_outcome(base, reversed_, reversed_.theta_final[:, ::-1], data)
+
+
+@pytest.mark.parametrize("data, config", _cases())
+def test_a_rotation_keeps_the_outcome(data, config):
+    base, rotated = run(data, config), run(_moved(data, _rotate), config)
+    _assert_same_outcome(base, rotated, rotated.theta_final @ _rotation(data.n_features), data)

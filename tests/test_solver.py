@@ -8,7 +8,7 @@ import loop_oracle
 import membership_oracle as oracle
 from sparsepcm import solver
 from sparsepcm.core import ConfigurationError, DataSet, squared_distances
-from sparsepcm.solver import compute_lambda, membership_work, update_memberships
+from sparsepcm.solver import compute_lambda, update_memberships
 
 
 def test_lambda_zero_gives_exponential():
@@ -145,7 +145,7 @@ def test_memberships_do_not_depend_on_the_units(s):
 def test_lambert_w0_matches_scipy(p):
     # the solver evaluates W0 on (-p*e**(-p), 0], the range of kept entries
     z = np.concatenate([np.linspace(-p * math.exp(-p), 0.0, 2001), [-1e-300, -0.0]])
-    w = solver._lambert_w0(z, np.empty((5, z.size)))
+    w = solver._lambert_w0(z)
     np.testing.assert_allclose(w, lambertw(z).real, rtol=1e-14, atol=0.0)
     assert w[-1] == 0.0
 
@@ -168,9 +168,9 @@ def test_update_memberships_into_out_has_the_bits_of_the_fresh_solve(d_order, K)
     lam = compute_lambda(0.5, 0.5, K)
     fresh = update_memberships(d, gamma, lam, 0.5)
     assert fresh.flags.f_contiguous
-    out, work = np.empty(d.shape, order="F"), membership_work(*d.shape)
-    for _ in range(2):  # a second call reuses what the first left in out and work
-        assert update_memberships(d, gamma, lam, 0.5, out=out, work=work) is out
+    out = np.empty(d.shape, order="F")
+    for _ in range(2):  # a second call reuses what the first left in out
+        assert update_memberships(d, gamma, lam, 0.5, out=out) is out
         np.testing.assert_array_equal(_bits(out), _bits(fresh))
     # the plain whole-array expressions of the solve, bit for bit
     np.testing.assert_array_equal(_bits(fresh), _bits(loop_oracle.memberships(d, gamma, lam, 0.5)))
