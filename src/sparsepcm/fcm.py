@@ -67,9 +67,10 @@ def _fcm_memberships(d: np.ndarray, out=None) -> np.ndarray:
     return u
 
 
-def _fcm_step(data: DataSet, theta: np.ndarray, d: np.ndarray, w: np.ndarray):
-    """(G(theta), J2(theta)) of one FCM step G, computed in the buffers d and
-    w; J2 = sum_ij u_ij^2 d_ij is the FCM objective at theta."""
+def _fcm_step(data: DataSet, theta: np.ndarray, d: np.ndarray, w: np.ndarray, tol: float):
+    """(G(theta), J2(theta), whether G moves every row of theta by less than
+    tol) of one FCM step G, computed in the buffers d and w; J2 = sum_ij
+    u_ij^2 d_ij is the FCM objective at theta."""
     squared_distances(data, theta, out=d)
     _fcm_memberships(d, out=w)
     # u_i1 d_i1 = 1 / sum_j 1/d_ij is row i's term of J2, 0 in a zero-distance row
@@ -78,7 +79,8 @@ def _fcm_step(data: DataSet, theta: np.ndarray, d: np.ndarray, w: np.ndarray):
     denom = w.sum(axis=0)
     if np.any(denom < _DENOM_FLOOR):
         raise DegenerateClusterError("FCM cluster lost all membership mass")
-    return (w.T @ data.points) / denom[:, None], cost
+    new_theta = (w.T @ data.points) / denom[:, None]
+    return new_theta, cost, bool(np.sqrt(((new_theta - theta) ** 2).sum(axis=1)).max() < tol)
 
 
 def run_fcm(data: DataSet, m: int, tol: float, seed: int = 0, max_iter: int = 300) -> FcmResult:
@@ -111,30 +113,27 @@ def run_fcm(data: DataSet, m: int, tol: float, seed: int = 0, max_iter: int = 30
     d = np.empty((data.n_points, m), order="F")
     w = np.empty((data.n_points, m), order="F")
     it, converged, step_max = 0, False, 1.0
-
-    def step(theta):
-        nonlocal it, converged
-        it += 1
-        new_theta, cost = _fcm_step(data, theta, d, w)
-        converged = bool(np.sqrt(((new_theta - theta) ** 2).sum(axis=1)).max() < tol)
-        return new_theta, cost
-
     theta = _seed_representatives(data, m, seed)
     while not converged and it < max_iter:
         theta0 = theta
-        theta, cost0 = step(theta0)
+        theta, cost0, converged = _fcm_step(data, theta0, d, w, tol)
+        it += 1
         if converged or it == max_iter:
             break
         theta1 = theta
-        theta, _ = step(theta1)
+        theta, _, converged = _fcm_step(data, theta1, d, w, tol)
+        it += 1
         if converged or it == max_iter:
             break
         r, v = theta1 - theta0, theta - 2.0 * theta1 + theta0
-        # theta' may leave the data box, lose a cluster or leave float range
+        # theta' may leave the data box, lose a cluster or leave float range;
+        # an evaluation that raises still counts
         with np.errstate(all="ignore"):
             alpha = min(max(np.linalg.norm(r) / np.linalg.norm(v), 1.0), step_max)
+            it += 1
             try:
-                theta3, cost = step(theta0 + 2.0 * alpha * r + alpha**2 * v)
+                theta3, cost, converged = _fcm_step(
+                    data, theta0 + 2.0 * alpha * r + alpha**2 * v, d, w, tol)
             except (DegenerateClusterError, NumericalError):
                 theta3, cost = theta, np.nan
             kept = bool(cost <= cost0) and np.isfinite(theta3).all()

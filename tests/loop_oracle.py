@@ -3,11 +3,12 @@
 This is the plain form of sparsepcm.algorithms.run: each iteration builds
 its distance matrix, its memberships and every temporary of the
 membership solve anew, column-major as the production loop's, and the
-solve is written as whole-array expressions. The production loop reuses
-one workspace per run and solves in it instead, with the same arithmetic
+solve is written as whole-array expressions. The production loop writes
+its distances and memberships into the two buffers of its FCM run, and
+its solve allocates only its own temporaries, with the same arithmetic
 on every entry and the same column sums, so the two must agree bit for
 bit. The loop is built from the package's public functions; only the
-steps that read the workspace, the membership solve and the theta
+steps that write into those buffers, the membership solve and the theta
 update, are spelled out here, and the scales come from
 bookkeeping_oracle's grouped form, one N x l pass.
 """

@@ -29,7 +29,7 @@ from sparsepcm.solver import compute_lambda, update_memberships
 
 import bookkeeping_oracle as oracle
 import loop_oracle
-from bench_workloads import small_n_case
+from workloads import small_n_case
 from blob_draws import blob_draw
 import reference_tables as ref
 
@@ -224,15 +224,15 @@ def _oracle_cases():
 
 @pytest.mark.parametrize("data, config", _oracle_cases())
 def test_run_matches_the_fresh_array_loop_oracle(data, config):
-    # the workspace and the solve in place change no bit of the record or
-    # of the memberships
+    # solving in FCM's buffers instead of fresh arrays changes no bit of the
+    # record or of the memberships
     got = _assert_matches_loop_oracle(data, config)
     counts = {rec.m for rec in got.history}
     if config.m_ini == 1:
         assert counts == {1}
     elif config.algorithm in ("sapcm", "apcm"):
         # clusters are eliminated inside the loop, so later iterations
-        # solve in the leading columns of the workspace
+        # solve in the leading columns of FCM's buffers
         assert len(counts) > 1
         if data.points.max() > 1e100:
             assert 1 in counts
@@ -302,7 +302,7 @@ def test_emptied_column_is_dropped_on_the_spot(algorithm, monkeypatch):
 
     monkeypatch.setattr("sparsepcm.algorithms.run_fcm", start_with_a_far_representative)
     monkeypatch.setattr(loop_oracle, "run_fcm", start_with_a_far_representative)
-    # the drop shrinks the fixed-scale loop's workspace to its leading columns
+    # the drop shrinks the fixed-scale loop's buffers to their leading columns
     report = _assert_matches_loop_oracle(_blob(n=60), AlgoConfig(algorithm, 3))
     counts = [rec.m for rec in report.history]
     assert counts[0] == 3

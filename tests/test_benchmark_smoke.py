@@ -8,7 +8,6 @@ names are only summed, so a missing one would read as zero time; a
 second check looks them up in the package.
 """
 
-import importlib.util
 import inspect
 import json
 import subprocess
@@ -18,6 +17,8 @@ from pathlib import Path
 import pytest
 
 from sparsepcm import algorithms
+
+import run
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -34,10 +35,7 @@ def test_traced_benchmark_run_is_correct(workload):
 
 
 def test_traced_algorithm_names_are_public_functions():
-    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    for name in bench.BOOKKEEPING:
+    for name in run.BOOKKEEPING:
         assert not name.startswith("_"), name
         assert inspect.isfunction(getattr(algorithms, name, None)), name
-    assert "run" in bench.OUTER_LOOPS
+    assert "run" in run.OUTER_LOOPS

@@ -227,7 +227,7 @@ def test_fcm_step_raises_when_a_cluster_loses_all_mass():
     theta = np.array([(0.0, 0.0), (2.0, 0.0), (1.0, 0.0)])
     d, w = np.empty((6, 3), order="F"), np.empty((6, 3), order="F")
     with pytest.raises(DegenerateClusterError, match="lost all membership mass"):
-        fcm._fcm_step(data, theta, d, w)
+        fcm._fcm_step(data, theta, d, w, 1e-6)
 
 
 @pytest.mark.parametrize("error", [DegenerateClusterError, NumericalError])

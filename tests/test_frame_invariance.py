@@ -31,7 +31,7 @@ from sparsepcm import make_fixture
 from sparsepcm.algorithms import ALGORITHMS, AlgoConfig, run
 from sparsepcm.core import DataSet
 
-from bench_workloads import small_n_case
+from workloads import small_n_case
 
 
 def _cases():

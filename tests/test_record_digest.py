@@ -3,6 +3,8 @@ record comparer tells equal bits, rounding, moved paths and moved outcomes
 apart."""
 
 import argparse
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ import numpy as np
 
 import record_compare
 import record_digest
+import workloads
 from sparsepcm import DataSet, make_fixture
 from sparsepcm.algorithms import AlgoConfig
 
@@ -22,6 +25,16 @@ def test_two_calls_on_one_case_print_the_same_line():
              for _ in range(2)]
     assert lines[0] == lines[1]
     assert all(f" {key}=" in lines[0] for key in ("record", "memberships", "plot.svg")), lines[0]
+
+
+def test_the_digest_and_the_tests_share_one_workloads_module():
+    # perfbench is on the tests' path, so the digest's own path insert finds
+    # the module the tests import by name instead of loading a second copy
+    assert record_digest.small_n_case is workloads.small_n_case
+    source = Path(workloads.__file__).resolve()
+    copies = [mod for mod in list(sys.modules.values())
+              if getattr(mod, "__file__", None) and Path(mod.__file__).resolve() == source]
+    assert copies == [workloads]
 
 
 def _saved_runs(directory):
