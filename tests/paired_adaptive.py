@@ -54,11 +54,11 @@ def outcomes(data, config, classes):
     return exact, report.m_final > classes, report.metrics["md"] if exact else None, False
 
 
-def cell(fixture, m_ini, alpha, seeds=FIXTURE_SEEDS):
+def cell(fixture, m_ini, alpha):
     """{"sapcm K": [outcomes per seed], ..., "apcm": [...]} of one
     (fixture, alpha) cell, the seeds in order."""
     runs = {f"sapcm {k}": [] for k in SAPCM_K} | {"apcm": []}
-    for seed in seeds:
+    for seed in FIXTURE_SEEDS:
         data = make_fixture(fixture, seed=seed)
         classes = len(data.truth_centers)
         for k in SAPCM_K:

@@ -217,8 +217,9 @@ def test_only_core_fcm_and_solver_name_a_memory_order():
 
 def test_the_readme_constants_table_points_at_each_value():
     """Each row of the README's table of constants names a src file and
-    quotes code of it that holds every number of the row's value, so the
-    row goes stale when the value changes, not when a line moves."""
+    quotes code that occurs exactly once in it and holds every number of
+    the row's value, so the row goes stale when the value changes or the
+    quote becomes ambiguous, not when a line moves."""
     package = Path(sparsepcm.__file__).parent
     readme = (package.parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Constants the paper does not give")[1].split("\n## ")[0]
@@ -229,6 +230,6 @@ def test_the_readme_constants_table_points_at_each_value():
         cited = re.fullmatch(r"`(\w+\.py)`: `([^`]+)`", where)
         assert cited, where
         name, quote = cited.groups()
-        assert quote in (package / name).read_text(encoding="utf-8"), where
+        assert (package / name).read_text(encoding="utf-8").count(quote) == 1, where
         numbers = re.findall(r"\d+(?:\.\d+)?(?:e-?\d+)?", value)
         assert numbers and all(n in quote for n in numbers), (where, value)
