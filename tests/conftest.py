@@ -1,6 +1,5 @@
 """Shared fixtures and the acceptance-summary terminal hook."""
 
-import numpy as np
 import pytest
 
 from sparsepcm import make_fixture
@@ -41,8 +40,3 @@ def tiny_two_cluster_set():
 @pytest.fixture(scope="session")
 def two_blobs():
     return make_fixture("example1", seed=0)
-
-
-@pytest.fixture()
-def rng():
-    return np.random.default_rng(42)

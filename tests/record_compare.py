@@ -4,7 +4,11 @@
     python3 tests/record_digest.py --save B > /dev/null    # in the other
     python3 tests/record_compare.py A B
 
-Each run named in either directory falls in one of four classes:
+Unless they are bit-equal, two records with the same m_final first have
+b's clusters, its theta rows, gamma, membership columns and labels (0
+stays 0), put in the order of a's by the least total theta distance, so
+that clusters that only come out in another order read as the same run.
+Each run named in either directory then falls in one of four classes:
 
 - bit-equal: every field but theta_tol, a setting, has the same bits;
 - rounding: the same error message, m_final, iterations, converged, FCM
@@ -27,7 +31,9 @@ Each run named in either directory falls in one of four classes:
 The script prints the count of each class, the worst theta, membership,
 gamma, lam and md gaps over the bit-equal and rounding runs, the worst
 path gaps against PATH_BOUND, the name of every path moved run whose
-converged flags changed, and the name of every run whose outcome moved.
+converged flags changed, the name and matching of every run that is not
+outcome moved only after its clusters were reordered, and the name of
+every run whose outcome moved.
 """
 
 import json
@@ -35,6 +41,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from sparsepcm.metrics import _assignment  # noqa: E402
 
 THETA_BOUND = 1e-8
 U_BOUND = 1e-8
@@ -72,14 +82,44 @@ def _rel(a, b):
     return float((gap / np.where(gap > 0.0, np.maximum(np.abs(a), np.abs(b)), 1.0)).max())
 
 
+def _equal_bits(a, b):
+    return all(_bits(a[k]) == _bits(b[k]) for k in a if k != "theta_tol")
+
+
+def _matched(a, b):
+    """(b reordered to a's clusters, the order as text), or (b, "") when the
+    counts differ, a run raised or b's own order is as near."""
+    if "theta" not in a or a["m_final"] != b["m_final"]:
+        return b, ""
+    cost = np.linalg.norm(a["theta"][:, None, :] - b["theta"][None, :, :], axis=2)
+    rows, order = _assignment(cost)
+    if cost[rows, order].sum() >= np.trace(cost):
+        return b, ""
+    relabel = np.r_[0, np.argsort(order) + 1].astype(b["labels"].dtype)
+    b = dict(b, theta=b["theta"][order], gamma=b["gamma"][order],
+             memberships=b["memberships"][:, order], labels=relabel[b["labels"]])
+    return b, f"b's clusters {' '.join(str(j + 1) for j in order)} as a's 1 to {len(order)}"
+
+
 def classify(a, b):
     """(class, gaps) of one run's records a and b; gaps maps each name in
     GAPS to its gap, in theta_tol for a path moved run, or is None when
-    the outcome moved. A path moved run's gaps also say under "cap" how
-    its converged flags changed, empty when they did not."""
+    the outcome moved. gaps also say under "permuted" how b's clusters
+    were reordered, empty when they were not, and a path moved run's
+    gaps under "cap" how its converged flags changed, empty when they
+    did not."""
     if a is None or b is None or a.keys() != b.keys():
         return "outcome moved", None
-    if all(_bits(a[k]) == _bits(b[k]) for k in a if k != "theta_tol"):
+    b, permuted = (b, "") if _equal_bits(a, b) else _matched(a, b)
+    cls, gaps = _by_index(a, b)
+    if gaps is not None:
+        gaps["permuted"] = permuted
+    return cls, gaps
+
+
+def _by_index(a, b):
+    """classify's (class, gaps), cluster j of a read against cluster j of b."""
+    if _equal_bits(a, b):
         return "bit-equal", dict.fromkeys(GAPS, 0.0)
     if "theta" not in a or any(_bits(a[k]) != _bits(b[k]) for k in _SAME_ANSWER):
         return "outcome moved", None
@@ -143,6 +183,8 @@ def summary(result):
                          f" {PATH_BOUND:g} ({worst[1]})")
     lines += [f"path moved at the cap: {run}: {gaps['cap']}"
               for run, (cls, gaps) in result.items() if cls == "path moved" and gaps["cap"]]
+    lines += [f"permuted: {run}: {gaps['permuted']}"
+              for run, (_, gaps) in result.items() if gaps is not None and gaps["permuted"]]
     lines += [f"outcome moved: {run}" for run, (cls, _) in result.items()
               if cls == "outcome moved"]
     return lines

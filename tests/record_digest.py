@@ -3,10 +3,10 @@
     python3 tests/record_digest.py [--save DIR] [--fixture-seeds A:B]
         [--small-n-draws A:B] > digest.txt
 
-Runs perfbench's SPARSE_PAIRS (through algorithms.run) and CLASSIC_PAIRS
-(through cli.run_experiment, every artifact written) at fixture seeds
-A to B-1 (default 0:3), then workloads.small_n_case(A..B-1) (default
-0:60) under all four algorithms at max_iter 50: 273 runs by default.
+Runs perfbench's fixtures-sparse cases (through algorithms.run) and its
+fixtures-classic cases (through cli.run_experiment, every artifact
+written) at fixture seeds A to B-1 (default 0:3), then the runs of
+small_n_runs(range(A, B)) (default 0:60): 273 runs by default.
 --fixture-seeds 0:20 --small-n-draws 60:260 gives the wide set of 1020
 runs. Each line names the run and gives m_final, iterations,
 converged, the sha256 of the report's to_dict() without wall_time and
@@ -25,7 +25,8 @@ a run that finished. record_compare.py tells apart how two such directories
 differ.
 
 pytest does not collect this file; test_record_digest.py checks that it
-is deterministic.
+is deterministic. The tests take their small-n runs from small_n_runs
+and small_n_config, so the digest and the tests run the same settings.
 """
 
 import argparse
@@ -33,6 +34,7 @@ import hashlib
 import json
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -40,10 +42,10 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from sparsepcm import algorithms, cli, datagen  # noqa: E402
-from sparsepcm.algorithms import ALGORITHMS, AlgoConfig  # noqa: E402
+from sparsepcm import algorithms, cli  # noqa: E402
+from sparsepcm.algorithms import ALGORITHMS  # noqa: E402
 from sparsepcm.core import ClusteringError  # noqa: E402
-from workloads import CLASSIC_PAIRS, SPARSE_PAIRS, small_n_case  # noqa: E402
+from workloads import WORKLOADS, small_n_case  # noqa: E402
 
 FIXTURE_SEEDS = range(3)
 SMALL_N_DRAWS = range(60)
@@ -124,29 +126,30 @@ def digest_line(name, data, config, fixture=None, fixture_seed=0, save=None):
             f"converged={report.converged} record={record} memberships={u}{files}")
 
 
-def fixture_lines(pairs, via_cli, save=None, seeds=FIXTURE_SEEDS):
-    for fs in seeds:
-        drawn = {}
-        for fixture, algorithm, settings in pairs:
-            if fixture not in drawn:
-                drawn[fixture] = datagen.make_fixture(fixture, seed=fs)
-            yield digest_line(
-                f"{fixture}/{algorithm}/{fs}", drawn[fixture],
-                AlgoConfig(algorithm=algorithm, seed=fs, **settings),
-                fixture=fixture if via_cli else None, fixture_seed=fs, save=save,
-            )
+def small_n_config(case, algorithm):
+    """A small_n_case draw's settings under algorithm: its alpha only for
+    sapcm and apcm, and K at the algorithm's default."""
+    alpha = case.config.alpha if algorithm in ("sapcm", "apcm") else None
+    return replace(case.config, algorithm=algorithm, alpha=alpha, K=None)
 
 
-def small_n_lines(save=None, draws=SMALL_N_DRAWS):
+def small_n_runs(draws):
+    """(name, data, config) of each draw under each algorithm."""
     for draw in draws:
         case = small_n_case(draw)
         for algorithm in ALGORITHMS:
-            config = AlgoConfig(
-                algorithm=algorithm, m_ini=case.config.m_ini, seed=case.config.seed,
-                max_iter=50,
-                alpha=case.config.alpha if algorithm in ("sapcm", "apcm") else None,
+            yield f"small-n/{draw}/{algorithm}", case.data, small_n_config(case, algorithm)
+
+
+def fixture_lines(workload, seeds, save=None):
+    """The digest of each case of perfbench's workload at fixture seeds."""
+    for cases in WORKLOADS[workload].build(0, seeds.stop)[seeds.start:]:
+        for case in cases:
+            yield digest_line(
+                f"{case.group}/{case.fixture_seed}", case.data, case.config,
+                fixture=case.fixture if case.via_cli else None,
+                fixture_seed=case.fixture_seed, save=save,
             )
-            yield digest_line(f"small-n/{draw}/{algorithm}", case.data, config, save=save)
 
 
 def main(argv=None):
@@ -160,9 +163,9 @@ def main(argv=None):
     save = args.save
     if save is not None:
         save.mkdir(parents=True, exist_ok=True)
-    for lines in (fixture_lines(SPARSE_PAIRS, False, save, args.fixture_seeds),
-                  fixture_lines(CLASSIC_PAIRS, True, save, args.fixture_seeds),
-                  small_n_lines(save, args.small_n_draws)):
+    for lines in (fixture_lines("fixtures-sparse", args.fixture_seeds, save),
+                  fixture_lines("fixtures-classic", args.fixture_seeds, save),
+                  (digest_line(*run, save=save) for run in small_n_runs(args.small_n_draws))):
         for line in lines:
             print(line, flush=True)
 

@@ -20,7 +20,7 @@ from sparsepcm.algorithms import AlgoConfig, run
 from sparsepcm.core import squared_distances
 from sparsepcm.datagen import make_fixture
 from sparsepcm.fcm import run_fcm
-from sparsepcm.solver import compute_lambda, update_memberships
+from sparsepcm.solver import compute_lambda
 
 _STEP = 1e-6
 _NGRID = 1_000_000  # grid points u = k * _STEP, k = 0.._NGRID
@@ -113,18 +113,10 @@ def _grid_argmin_literal(d, gamma, lam, p, chunk=250_000):
     return best_k
 
 
-def _aligned(u, theta, ref):
+def _aligned(u, theta):
     """Reorder membership columns by representative x so they line up
     with the reference tables (left cluster first)."""
-    order = np.argsort(theta[:, 0])
-    return u[:, order], ref
-
-
-def _recomputed_memberships(data, report, p=0.5):
-    return update_memberships(
-        squared_distances(data, report.theta_final),
-        report.gamma_final, report.lam_final, p,
-    )
+    return u[:, np.argsort(theta[:, 0])]
 
 
 def test_acceptance_1_solver_matches_grid_oracle(acceptance_log):
@@ -205,21 +197,19 @@ def test_acceptance_3_seventeen_point_tables(acceptance_log):
     data = make_fixture("experiment1")
 
     fcm = run_fcm(data, 2, tol=1e-6, seed=0)
-    u_init, ref_init = _aligned(fcm.u_fcm, fcm.theta, INIT)
-    init_err = float(np.abs(u_init - ref_init).max())
+    u_init = _aligned(fcm.u_fcm, fcm.theta)
+    init_err = float(np.abs(u_init - INIT).max())
 
     rep_s = run(data, AlgoConfig(algorithm="spcm", m_ini=2, seed=0))
-    u_s = _recomputed_memberships(data, rep_s)
-    u_s, ref_s = _aligned(u_s, rep_s.theta_final, SPCM_ITER5)
-    spcm_err = float(np.abs(u_s - ref_s).max())
-    zeros_match = bool(np.array_equal(u_s == 0.0, ref_s == 0.0))
+    u_s = _aligned(rep_s.memberships, rep_s.theta_final)
+    spcm_err = float(np.abs(u_s - SPCM_ITER5).max())
+    zeros_match = bool(np.array_equal(u_s == 0.0, SPCM_ITER5 == 0.0))
 
     rep_p = run(data, AlgoConfig(algorithm="pcm", m_ini=2, seed=0))
     assert len(rep_p.history) >= 8, "classic run ended before 8 iterations"
     snap = rep_p.history[7]
-    u8 = np.exp(-squared_distances(data, snap.theta) / snap.gamma)
-    u8, ref_p = _aligned(u8, snap.theta, PCM_ITER8)
-    pcm_err = float(np.abs(u8 - ref_p).max())
+    u8 = _aligned(np.exp(-squared_distances(data, snap.theta) / snap.gamma), snap.theta)
+    pcm_err = float(np.abs(u8 - PCM_ITER8).max())
 
     gamma_err = float(np.abs(np.sort(snap.gamma) - np.sort(GAMMA_INIT)).max())
     elapsed = time.perf_counter() - t0

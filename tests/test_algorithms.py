@@ -23,13 +23,13 @@ from sparsepcm.core import (
     NumericalError,
     squared_distances,
 )
-from sparsepcm.datagen import Component, MixtureSpec, generate
 from sparsepcm.fcm import gamma_init_pcm, run_fcm
 from sparsepcm.solver import compute_lambda, update_memberships
 
 import bookkeeping_oracle as oracle
 import loop_oracle
-from workloads import small_n_case
+from record_digest import small_n_config, small_n_runs
+from workloads import CLASSIC_PAIRS, SPARSE_PAIRS, WORKLOADS, small_n_case
 from blob_draws import blob_draw
 import reference_tables as ref
 
@@ -201,17 +201,11 @@ def test_run_raises_when_no_cluster_is_left(algorithm, monkeypatch):
 
 
 def _oracle_cases():
-    yield pytest.param(make_fixture("example1", seed=0), AlgoConfig("spcm", 5),
-                       id="example1/spcm")
-    yield pytest.param(make_fixture("experiment2", seed=0), AlgoConfig("sapcm", 10, alpha=0.15),
-                       id="experiment2/sapcm")
-    yield pytest.param(make_fixture("iris"), AlgoConfig("spcm", 10), id="iris/spcm")
-    for draw in range(3):
-        case = small_n_case(draw)
-        for algorithm in ALGORITHMS:
-            alpha = case.config.alpha if algorithm in ("sapcm", "apcm") else None
-            config = replace(case.config, algorithm=algorithm, alpha=alpha, K=None)
-            yield pytest.param(case.data, config, id=f"small-n/{draw}/{algorithm}")
+    for case in WORKLOADS["fixtures-sparse"].build(0, 1)[0]:
+        if case.group in ("example1/spcm", "experiment2/sapcm", "iris/spcm"):
+            yield pytest.param(case.data, case.config, id=case.group)
+    for name, data, config in small_n_runs(range(3)):
+        yield pytest.param(data, config, id=name)
     # coordinates near 1e150 end the adaptive runs at one cluster inside
     # the loop, and m_ini = 1 starts every run there
     huge = DataSet(points=np.random.default_rng(0).normal(size=(40, 2)) * 1e150)
@@ -268,8 +262,7 @@ def test_the_loop_solves_in_the_buffers_of_its_fcm_run(algorithm, monkeypatch):
     monkeypatch.setattr("sparsepcm.algorithms.run_fcm", recorded_fcm)
     monkeypatch.setattr("sparsepcm.algorithms.update_memberships", recorded_solve)
     case = small_n_case(0)
-    alpha = case.config.alpha if algorithm in ("sapcm", "apcm") else None
-    report = run(case.data, replace(case.config, algorithm=algorithm, alpha=alpha, K=None))
+    report = run(case.data, small_n_config(case, algorithm))
     (fcm,) = fcms
     *in_loop, (final_d, final_out) = solves
     assert len(in_loop) == report.iterations
@@ -401,16 +394,8 @@ def _cost(data, theta, gamma, lam, p):
 
 
 # the benchmark's pairs on these fixtures, with the acceptance suite's settings
-_DESCENT_PAIRS = (
-    ("example1", "spcm", {"m_ini": 5}),
-    ("example1", "pcm", {"m_ini": 5}),
-    ("example3", "sapcm", {"m_ini": 5, "alpha": 2.0}),
-    ("example3", "apcm", {"m_ini": 5, "alpha": 1.6}),
-    ("example4", "apcm", {"m_ini": 5, "alpha": 1.5}),
-    ("iris", "sapcm", {"m_ini": 3, "alpha": 2.2}),
-    ("iris", "spcm", {"m_ini": 10}),
-    ("iris", "pcm", {"m_ini": 10}),
-)
+_DESCENT_PAIRS = tuple(pair for pair in SPARSE_PAIRS + CLASSIC_PAIRS
+                       if pair[0] in ("example1", "example3", "example4", "iris"))
 
 
 def _descent_cases(iris_data):
@@ -512,18 +497,13 @@ def test_labels_are_the_returned_models_at_the_step_cap():
     point still changes cluster. Its labels are those of the model it
     returns, the argmax of the exported memberships, not the labels of
     the iterate before that model."""
-    rng = np.random.default_rng(54)
-    k, per_blob = int(rng.integers(2, 4)), int(rng.integers(15, 25))
-    var = float(rng.uniform(0.15, 0.45)) ** 2
-    m_ini, alpha = int(rng.integers(3, 7)), float(rng.uniform(0.8, 2.0))
-    data = generate(MixtureSpec(components=tuple(
-        Component(mean=c, covariance=((var, 0.0), (0.0, var)), count=per_blob)
-        for c in ((0.0, 0.0), (4.0, 0.0), (2.0, 3.5))[:k]), seed=54))
-    assert (data.n_points, m_ini) == (34, 5)
-    report = run(data, AlgoConfig("apcm", m_ini, alpha=alpha, seed=54, max_iter=50))
+    case = small_n_case(54)
+    data, config = case.data, small_n_config(case, "apcm")
+    assert (data.n_points, config.m_ini) == (34, 5)
+    report = run(data, config)
     assert not report.converged
     u = update_memberships(squared_distances(data, report.theta_final),
-                           report.gamma_final, report.lam_final, 0.5)
+                           report.gamma_final, report.lam_final, config.p)
     np.testing.assert_array_equal(
         report.labels_final, np.where(u.max(axis=1) > 0.0, u.argmax(axis=1) + 1, 0))
 

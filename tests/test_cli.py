@@ -357,10 +357,7 @@ def test_failed_run_does_not_shift_later_artifacts(tmp_path, capsys):
     doc = json.loads((out / "report.json").read_text())
     assert [f["run"] for f in doc["failures"]] == [0]
     assert not (out / "run_00_spcm").exists()
-    with (out / "run_01_spcm" / "memberships.csv").open() as fh:
-        u = np.array(list(csv.reader(fh))[1:], dtype=float)
-    expect = np.where(u.max(axis=1) > 0.0, u.argmax(axis=1) + 1, 0)
-    np.testing.assert_array_equal(expect, doc["reports"][0]["labels_final"])
+    _assert_labels_are_memberships_argmax(out / "run_01_spcm", doc["reports"][0], 120)
 
 
 @pytest.mark.parametrize("column", ["--1", "\u00b2", "-\u00b2"])

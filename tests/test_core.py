@@ -134,18 +134,25 @@ def test_run_report_round_trips_through_dict():
     assert doc["metrics"]["sr"] == pytest.approx(100.0)
 
 
+def _package_trees():
+    """(module name, syntax tree) of each module of the package."""
+    return [(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+            for path in Path(sparsepcm.__file__).parent.glob("*.py")]
+
+
+def _names(tree):
+    """Every name and attribute name that tree reads."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+
+
 def test_every_public_src_name_is_used_in_src():
     """No public function, class or method of the package exists only for
     its tests: each is referenced by name somewhere in the package's own
     modules. The console entry point main is the one exception."""
     public, used = set(), set()
-    for path in Path(sparsepcm.__file__).parent.glob("*.py"):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+    for _, tree in _package_trees():
+        used |= _names(tree)
         for node in tree.body:
             members = node.body if isinstance(node, ast.ClassDef) else []
             public.update(
@@ -160,44 +167,32 @@ def test_every_public_src_name_is_used_in_src():
 def test_argument_rules_have_one_owner():
     """The integer, scalar and label rules live in core: no other module of
     the package imports numbers or truncates labels with np.trunc."""
-    for path in Path(sparsepcm.__file__).parent.glob("*.py"):
-        if path.name == "core.py":
+    for name, tree in _package_trees():
+        if name == "core":
             continue
-        named = set()
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-            elif isinstance(node, ast.alias):
-                named.add(node.name)
-            elif isinstance(node, ast.ImportFrom):
-                named.add(node.module)
-        assert not named & {"numbers", "trunc"}, path.name
+        imported = {node.module if isinstance(node, ast.ImportFrom) else node.name
+                    for node in ast.walk(tree) if isinstance(node, (ast.ImportFrom, ast.alias))}
+        assert not (_names(tree) | imported) & {"numbers", "trunc"}, name
 
 
 def test_no_module_imports_scipy():
     """The package runs on numpy alone; scipy serves only the tests."""
-    for path in Path(sparsepcm.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for name, tree in _package_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
                 modules = [node.module or ""]
             else:
                 continue
-            assert not [m for m in modules if m.split(".")[0] == "scipy"], path.name
+            assert not [m for m in modules if m.split(".")[0] == "scipy"], name
 
 
 def test_only_core_datagen_and_metrics_read_the_truth():
     """The scoring rule has one owner: outside core, datagen and metrics no
     module of the package reads a DataSet's truth_labels or truth_centers."""
-    readers = set()
-    for path in Path(sparsepcm.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and node.attr in ("truth_labels",
-                                                                 "truth_centers"):
-                readers.add(path.stem)
+    readers = {name for name, tree in _package_trees()
+               if _names(tree) & {"truth_labels", "truth_centers"}}
     assert "metrics" in readers
     assert sorted(readers - {"core", "datagen", "metrics"}) == []
 
@@ -205,12 +200,9 @@ def test_only_core_datagen_and_metrics_read_the_truth():
 def test_only_core_fcm_and_solver_name_a_memory_order():
     """The layout has one owner: outside core, fcm and solver no module of the
     package names a memory order, as an order= keyword or through np.isfortran."""
-    namers = set()
-    for path in Path(sparsepcm.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if (isinstance(node, ast.keyword) and node.arg == "order"
-                    or isinstance(node, ast.Attribute) and node.attr == "isfortran"):
-                namers.add(path.stem)
+    namers = {name for name, tree in _package_trees() if "isfortran" in _names(tree)
+              or any(isinstance(node, ast.keyword) and node.arg == "order"
+                     for node in ast.walk(tree))}
     assert "solver" in namers
     assert sorted(namers - {"core", "fcm", "solver"}) == []
 

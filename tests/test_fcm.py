@@ -86,6 +86,18 @@ def test_degenerate_data_raises():
         gamma_init_pcm(res)
 
 
+@pytest.mark.parametrize("init", [gamma_init_pcm, eta_init_sapcm])
+def test_a_zero_membership_column_raises(init):
+    """run_fcm never returns a column without mass, so a hand-built result
+    reaches the guard. Without it gamma or eta would be 0/0 (NaN), and a
+    later step would raise the wrong error."""
+    u = np.asfortranarray([[1.0, 0.0], [1.0, 0.0]])
+    d = np.asfortranarray([[1.0, 4.0], [4.0, 1.0]])
+    res = fcm.FcmResult(theta=np.zeros((2, 2)), u_fcm=u, d=d, iterations=1, converged=True)
+    with pytest.raises(DegenerateClusterError, match="^zero membership column in FCM result$"):
+        init(res)
+
+
 def _one_dimensional_set():
     rng = np.random.default_rng(3)
     return DataSet(points=np.concatenate([

@@ -13,16 +13,12 @@ import numpy as np
 import record_compare
 import record_digest
 import workloads
-from sparsepcm import DataSet, make_fixture
+from sparsepcm import DataSet
 from sparsepcm.algorithms import AlgoConfig
 
 
 def test_two_calls_on_one_case_print_the_same_line():
-    data = make_fixture("example4", seed=0)
-    config = AlgoConfig(algorithm="apcm", m_ini=5, alpha=1.5, seed=0)
-    lines = [record_digest.digest_line("example4/apcm/0", data, config,
-                                       fixture="example4", fixture_seed=0)
-             for _ in range(2)]
+    lines = [next(record_digest.fixture_lines("fixtures-classic", range(1))) for _ in range(2)]
     assert lines[0] == lines[1]
     assert all(f" {key}=" in lines[0] for key in ("record", "memberships", "plot.svg")), lines[0]
 
@@ -37,62 +33,38 @@ def test_the_digest_and_the_tests_share_one_workloads_module():
     assert copies == [workloads]
 
 
-def _saved_runs(directory):
-    """Two small-n runs and one run that raises, saved to directory."""
-    case = record_digest.small_n_case(0)
-    for algorithm in ("pcm", "sapcm"):
-        config = AlgoConfig(algorithm=algorithm, m_ini=case.config.m_ini, max_iter=50,
-                            alpha=case.config.alpha if algorithm == "sapcm" else None)
-        record_digest.digest_line(f"small-n/0/{algorithm}", case.data, config, save=directory)
+def _saved_runs(tmp_path):
+    """Directories a and b, each holding the records of two small-n runs and
+    of one run that raises, saved by separate runs."""
     tiny = DataSet(points=np.array([[0.0, 0.0], [1e-3, 0.0], [5.0, 5.0]]))
-    record_digest.digest_line("tiny/sapcm", tiny, AlgoConfig("sapcm", 3, alpha=1e-3),
-                              save=directory)
+    runs = [run for run in record_digest.small_n_runs(range(1))
+            if run[2].algorithm in ("pcm", "sapcm")]
+    runs.append(("tiny/sapcm", tiny, AlgoConfig("sapcm", 3, alpha=1e-3)))
+    directories = tmp_path / "a", tmp_path / "b"
+    for directory in directories:
+        directory.mkdir()
+        for run in runs:
+            record_digest.digest_line(*run, save=directory)
+    return directories
 
 
 def _edit(directory, name, field, change):
-    """Apply change to one field of a saved record, in place."""
+    """Replace the first entry x of one field of a saved record by change(x)."""
     record = record_compare.load(directory)[name]
-    change(record[field])
+    record[field].flat[0] = change(record[field].flat[0])
     np.savez(directory / (name.replace("/", "__") + ".npz"), **record)
 
 
-def _next_float(theta):
-    theta[0, 0] = np.nextafter(theta[0, 0], np.inf)
-
-
-def _shift(theta):
-    theta[0, 0] += 1e-6
-
-
-def _far_shift(theta):
-    theta[0, 0] += 1e-2
-
-
-def _one_more(count):
-    count += 1
-
-
-def _flag(converged):
-    converged[...] = not converged
-
-
-def _flip(labels):
-    labels[0] += 1
-
-
 def test_record_compare_classifies_bits_rounding_and_outcomes(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    for directory in (a, b):
-        directory.mkdir()
-        _saved_runs(directory)
+    a, b = _saved_runs(tmp_path)
     same = record_compare.compare(a, b)
     assert {cls for cls, _ in same.values()} == {"bit-equal"}
     assert "error=" in str(record_compare.load(a)["tiny/sapcm"]["error"])
     assert record_compare.summary(same)[0] == \
         "3 runs: 3 bit-equal, 0 rounding, 0 path moved, 0 outcome moved"
 
-    _edit(b, "small-n/0/pcm", "theta", _next_float)
-    _edit(b, "small-n/0/sapcm", "labels", _flip)
+    _edit(b, "small-n/0/pcm", "theta", lambda x: np.nextafter(x, np.inf))
+    _edit(b, "small-n/0/sapcm", "labels", lambda x: x + 1)
     (b / "tiny__sapcm.npz").unlink()
     result = record_compare.compare(a, b)
     assert result["small-n/0/pcm"][0] == "rounding"
@@ -104,23 +76,20 @@ def test_record_compare_classifies_bits_rounding_and_outcomes(tmp_path):
     assert lines[-2:] == ["outcome moved: small-n/0/sapcm", "outcome moved: tiny/sapcm"]
     # a gap past THETA_BOUND with the same labels is no rounding: one
     # theta_tol away, it is the same answer by another path
-    _edit(b, "small-n/0/pcm", "theta", _shift)
+    _edit(b, "small-n/0/pcm", "theta", lambda x: x + 1e-6)
     cls, gaps = record_compare.compare(a, b)["small-n/0/pcm"]
     assert cls == "path moved" and gaps["theta"] == pytest.approx(1.0, rel=1e-6)
     # past PATH_BOUND theta_tol it is another answer
-    _edit(b, "small-n/0/pcm", "theta", _far_shift)
+    _edit(b, "small-n/0/pcm", "theta", lambda x: x + 1e-2)
     assert record_compare.compare(a, b)["small-n/0/pcm"] == ("outcome moved", None)
 
 
 def test_record_compare_reads_a_shifted_path_as_path_moved(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    for directory in (a, b):
-        directory.mkdir()
-        _saved_runs(directory)
+    a, b = _saved_runs(tmp_path)
     # equal labels, another iteration count: the path moved, not the outcome
-    _edit(b, "small-n/0/pcm", "iterations", _one_more)
-    _edit(b, "small-n/0/sapcm", "fcm_iterations", _one_more)
-    _edit(b, "small-n/0/sapcm", "converged", _flag)
+    _edit(b, "small-n/0/pcm", "iterations", lambda x: x + 1)
+    _edit(b, "small-n/0/sapcm", "fcm_iterations", lambda x: x + 1)
+    _edit(b, "small-n/0/sapcm", "converged", np.logical_not)
     result = record_compare.compare(a, b)
     assert [result[run][0] for run in sorted(result)] == \
         ["path moved", "path moved", "bit-equal"]
@@ -136,8 +105,32 @@ def test_record_compare_reads_a_shifted_path_as_path_moved(tmp_path):
     assert cap == (f"path moved at the cap: small-n/0/sapcm: converged {converged} -> "
                    f"{not converged} at {iterations} -> {iterations} iterations")
     # a flipped label with the same iteration count still moves the outcome
-    _edit(b, "small-n/0/pcm", "labels", _flip)
+    _edit(b, "small-n/0/pcm", "labels", lambda x: x + 1)
     assert record_compare.compare(a, b)["small-n/0/pcm"] == ("outcome moved", None)
+
+
+def test_record_compare_matches_clusters_that_come_out_in_another_order(tmp_path):
+    a, b = _saved_runs(tmp_path)
+    name = "small-n/0/sapcm"
+    saved = record_compare.load(a)[name]
+    order = np.array([2, 0, 1])  # b's cluster k + 1 is a's cluster order[k] + 1
+    relabel = np.r_[0, np.argsort(order) + 1]
+    permuted = dict(saved, theta=saved["theta"][order], gamma=saved["gamma"][order],
+                    memberships=saved["memberships"][:, order],
+                    labels=relabel[saved["labels"]])
+    np.savez(b / (name.replace("/", "__") + ".npz"), **permuted)
+    # by index, the same clustering reads as another outcome
+    assert record_compare._by_index(saved, permuted) == ("outcome moved", None)
+    result = record_compare.compare(a, b)
+    assert result[name] == ("bit-equal", {**dict.fromkeys(record_compare.GAPS, 0.0),
+                                          "permuted": "b's clusters 2 3 1 as a's 1 to 3"})
+    lines = record_compare.summary(result)
+    assert lines[0] == "3 runs: 3 bit-equal, 0 rounding, 0 path moved, 0 outcome moved"
+    assert lines[-1] == f"permuted: {name}: b's clusters 2 3 1 as a's 1 to 3"
+    # after the matching, a last-bit move of theta is rounding, still listed
+    _edit(b, name, "theta", lambda x: np.nextafter(x, np.inf))
+    cls, gaps = record_compare.compare(a, b)[name]
+    assert (cls, gaps["permuted"]) == ("rounding", "b's clusters 2 3 1 as a's 1 to 3")
 
 
 def test_record_digest_reads_seed_ranges():
