@@ -93,7 +93,9 @@ def _write_matrix_csv(path: Path, matrix: np.ndarray, header: list):
 
 def _svg_plot(path: Path, data: DataSet, report: RunReport):
     """Scatter of the points (small squares, colored by final label) with
-    one circle per representative at radius sqrt(gamma) in data units."""
+    one circle per representative at radius sqrt(gamma) in data units. Its
+    text is the per-point form's byte for byte; test_cli checks it against
+    tests/plot_oracle.py."""
     pts = data.points
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     radii = np.sqrt(report.gamma_final)
@@ -109,20 +111,18 @@ def _svg_plot(path: Path, data: DataSet, report: RunReport):
         # flip so the y axis points up
         return _PLOT_SIZE - _PLOT_PAD - (y - lo[1]) * scale
 
-    # the clusters cycle over these colors, so none takes label 0's gray
-    palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
-               "#8c564b", "#e377c2", "#17becf", "#bcbd22"]
+    # gray for label 0, then the nine cluster colors; as objects, fills share these strings
+    colors = np.array(["#777777", "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
+                       "#ff7f0e", "#8c564b", "#e377c2", "#17becf", "#bcbd22"], dtype=object)
+    fills = colors[np.where(report.labels_final, (report.labels_final - 1) % 9 + 1, 0)]
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_PLOT_SIZE}" '
         f'height="{_PLOT_SIZE}" viewBox="0 0 {_PLOT_SIZE} {_PLOT_SIZE}">',
         f'<rect width="{_PLOT_SIZE}" height="{_PLOT_SIZE}" fill="white"/>',
     ]
-    for (x, y), lab in zip(pts, report.labels_final):
-        color = palette[(int(lab) - 1) % len(palette)] if lab else "#777777"
-        lines.append(
-            f'<rect x="{sx(x) - 1.2:.2f}" y="{sy(y) - 1.2:.2f}" width="2.4" '
-            f'height="2.4" fill="{color}"/>'
-        )
+    lines += ['<rect x="%.2f" y="%.2f" width="2.4" height="2.4" fill="%s"/>' % rect
+              for rect in zip((sx(pts[:, 0]) - 1.2).tolist(), (sy(pts[:, 1]) - 1.2).tolist(),
+                              fills.tolist())]
     for j, (center, g) in enumerate(zip(report.theta_final, report.gamma_final)):
         r = np.sqrt(g) * scale
         lines.append(

@@ -14,6 +14,9 @@ from sparsepcm import AlgoConfig, ConfigurationError, DataSet, RunReport
 from sparsepcm.cli import ExperimentConfig, _build_parser, _svg_plot, main, run_experiment
 from sparsepcm.datagen import FIXTURE_NAMES, CsvFormatError, iris_path, load_csv
 
+import plot_oracle
+from workloads import CLASSIC_PAIRS, SPARSE_PAIRS
+
 
 def _write_blob_csv(path, n=80, seed=0, labeled=False):
     rng = np.random.default_rng(seed)
@@ -514,9 +517,9 @@ def test_fixture_seed_defaults_to_the_first_runs_seed_in_library_and_cli(tmp_pat
     assert docs[0] == docs[1]
 
 
-def test_plot_draws_no_cluster_in_the_unassigned_color(tmp_path):
-    """Only label 0 is gray: labels past the palette cycle over the cluster
-    colors, so an 11-cluster run draws labels 10 and 11 like 1 and 2."""
+def _eleven_clusters():
+    """One point on each of 11 representatives, labels 1 to 11, and one
+    unassigned point."""
     m = 11
     theta = np.column_stack([np.arange(m, dtype=float), np.zeros(m)])
     points = np.vstack([theta, [[5.0, 3.0]]])
@@ -526,11 +529,62 @@ def test_plot_draws_no_cluster_in_the_unassigned_color(tmp_path):
         fcm_iterations=1, fcm_converged=True, wall_time=0.0, theta_final=theta,
         gamma_final=np.full(m, 0.01), lam_final=0.0, labels_final=labels, seed=0,
     )
+    return DataSet(points=points), report
+
+
+def test_plot_draws_no_cluster_in_the_unassigned_color(tmp_path):
+    """Only label 0 is gray: labels past the palette cycle over the cluster
+    colors, so an 11-cluster run draws labels 10 and 11 like 1 and 2."""
+    data, report = _eleven_clusters()
+    labels, m = report.labels_final, report.m_final
     path = tmp_path / "plot.svg"
-    _svg_plot(path, DataSet(points=points), report)
+    _svg_plot(path, data, report)
     fills = re.findall(r'<rect x=\S+ y=\S+ width="2.4" height="2.4" fill="([^"]+)"', path.read_text())
     color = dict(zip(labels.tolist(), fills))
     assert len(fills) == m + 1
     assert color[0] == "#777777"
     assert "#777777" not in [color[k] for k in range(1, m + 1)]
     assert (color[10], color[11]) == (color[1], color[2])
+
+
+# perfbench's fixture/algorithm pairs at fixture seed 0
+_PAIRS = {f"{fixture}/{algorithm}": (fixture, AlgoConfig(algorithm, seed=0, **settings))
+          for fixture, algorithm, settings in SPARSE_PAIRS + CLASSIC_PAIRS}
+
+
+def _pair_run(group):
+    fixture, config = _PAIRS[group]
+    data = sparsepcm.make_fixture(fixture, seed=0)
+    return data, sparsepcm.run(data, config)
+
+
+@pytest.mark.parametrize("group", ["example1/spcm", "example3/sapcm", "example1/pcm",
+                                   "eleven-clusters"])
+def test_plot_is_the_per_point_form_byte_for_byte(tmp_path, group):
+    """plot.svg is plot_oracle's text byte for byte. The sparse runs leave
+    points unassigned, so the gray fills are compared too."""
+    data, report = _eleven_clusters() if group == "eleven-clusters" else _pair_run(group)
+    if group in ("example1/spcm", "example3/sapcm"):
+        assert (report.labels_final == 0).any()
+    _svg_plot(tmp_path / "plot.svg", data, report)
+    plot_oracle.svg_plot(tmp_path / "oracle.svg", data, report)
+    assert (tmp_path / "plot.svg").read_bytes() == (tmp_path / "oracle.svg").read_bytes()
+
+
+def test_csv_files_are_the_returned_matrices_bit_for_bit(tmp_path):
+    """memberships.csv and theta.csv read back to report.memberships and
+    report.theta_final, every bit, the exact zeros of a sparse run included."""
+    runs = [_PAIRS[group][1] for group in ("example1/spcm", "example1/pcm")]
+    reports = run_experiment(ExperimentConfig(runs=runs, output_dir=tmp_path,
+                                              fixture="example1", fixture_seed=0))
+    assert (reports[0].memberships == 0.0).any()
+    for i, report in enumerate(reports):
+        run_dir = tmp_path / f"run_{i:02d}_{report.algorithm}"
+        for name, matrix, prefix in (("memberships.csv", report.memberships, "u"),
+                                     ("theta.csv", report.theta_final, "x")):
+            with (run_dir / name).open(newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert header == [f"{prefix}_{j + 1}" for j in range(matrix.shape[1])]
+            parsed = np.array([[float(cell) for cell in row] for row in rows])
+            assert parsed.shape == matrix.shape
+            assert parsed.tobytes() == matrix.tobytes()
